@@ -134,9 +134,11 @@ func run(opt options, stdout, stderr io.Writer) error {
 		defer stop()
 	}
 
+	var onlyKeys []string
 	wanted := map[string]bool{}
 	for _, k := range strings.Split(opt.only, ",") {
 		if k = strings.TrimSpace(strings.ToLower(k)); k != "" {
+			onlyKeys = append(onlyKeys, k)
 			wanted[k] = true
 		}
 	}
@@ -409,6 +411,17 @@ func run(opt options, stdout, stderr io.Writer) error {
 		}},
 	}
 
+	known := make(map[string]bool, len(jobs))
+	valid := make([]string, len(jobs))
+	for i, j := range jobs {
+		known[j.key] = true
+		valid[i] = j.key
+	}
+	for _, k := range onlyKeys {
+		if !known[k] {
+			return fmt.Errorf("unknown -only key %q (valid keys: %s)", k, strings.Join(valid, ", "))
+		}
+	}
 	var selected []figJob
 	for _, j := range jobs {
 		if want(j.key) {

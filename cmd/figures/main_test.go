@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/midband5g/midband/internal/obs"
@@ -115,5 +116,53 @@ func TestArtifactsByteIdentical(t *testing.T) {
 	// and fails on mismatch, so this line alone asserts digest stability.
 	if _, err := obs.ReadManifest(filepath.Join("..", "..", "results", "manifest.json")); err != nil {
 		t.Errorf("committed manifest no longer verifies: %v", err)
+	}
+}
+
+// An unknown -only key is an error that names the key and lists the
+// valid ones, not a silent empty run.
+func TestRunRejectsUnknownOnlyKey(t *testing.T) {
+	var out bytes.Buffer
+	err := run(options{quick: true, seed: 2024, only: "fig11,fig99", parallel: 1}, &out, io.Discard)
+	if err == nil {
+		t.Fatal("-only fig99 succeeded")
+	}
+	for _, want := range []string{`"fig99"`, "fig11", "table1", "extf"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	if out.Len() != 0 {
+		t.Errorf("rejected run wrote %d bytes of output", out.Len())
+	}
+}
+
+// TestExtDMatchesCommittedOutput pins the share-model cell figure: a
+// full-fidelity extd regeneration must reproduce the "Ext D" section of
+// the committed figures_output.txt byte-for-byte.
+func TestExtDMatchesCommittedOutput(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(options{seed: 2024, only: "extd", parallel: 1}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	committed, err := os.ReadFile(filepath.Join("..", "..", "figures_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A section is a blank line, its title line and its rows; the next
+	// blank line starts the following section.
+	start := bytes.Index(committed, []byte("\nExt D "))
+	if start < 0 {
+		t.Fatal(`figures_output.txt has no "Ext D" section`)
+	}
+	end := bytes.Index(committed[start+1:], []byte("\n\n"))
+	if end < 0 {
+		t.Fatal(`"Ext D" section is not terminated`)
+	}
+	section := committed[start : start+1+end+1]
+	// run closes every report with one trailing newline.
+	want := append(append([]byte(nil), section...), '\n')
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("regenerated extd differs from figures_output.txt:\n--- got ---\n%s\n--- want ---\n%s", out.Bytes(), want)
 	}
 }
