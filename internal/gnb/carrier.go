@@ -309,11 +309,6 @@ type Carrier struct {
 	tbs     *phy.TBSCache
 	maxMCS  int // cfg.MCSTable.MaxIndex(), hoisted off the dither path
 
-	// pow memoizes 10^(ollaDB/10) over the outer loop's recent values
-	// (see powCache); misses recompute with the exact expression newTB
-	// used inline, so the memo is bit-identical.
-	pow powCache
-
 	// effByCQI hoists the CSI table's CQI→spectral-efficiency column so
 	// newTB indexes a flat array instead of calling Lookup (with its
 	// error path) once per transport block. Row 0 is 0 ("out of range").
@@ -372,7 +367,6 @@ func NewCarrier(cfg CarrierConfig) (*Carrier, error) {
 		maxMCS:  int(cfg.MCSTable.MaxIndex()),
 		rlf:     fault.NewRLFState(cfg.Fault),
 	}
-	c.pow = newPowCache(1)
 	for cqi := phy.CQI(1); cqi <= phy.MaxCQI; cqi++ {
 		if row, err := csiCfg2.Table.Lookup(cqi); err == nil {
 			c.effByCQI[cqi] = row.Efficiency
@@ -613,11 +607,11 @@ func (c *Carrier) transmit(store *Alloc, queue *[]harqJob, slot int64, symbols i
 	return store
 }
 
-// ollaPow returns 10^(ollaDB/10), memoized (see powCache).
+// ollaPow returns 10^(ollaDB/10), the OLLA offset as a linear factor.
 //
 //detlint:zeroalloc
 func (c *Carrier) ollaPow() float64 {
-	return c.pow.pow10(c.ollaDB)
+	return math.Pow(10, c.ollaDB/10)
 }
 
 // newTB builds a fresh transport block from the CSI in effect.

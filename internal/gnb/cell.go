@@ -98,28 +98,18 @@ func (c CellConfig) Validate() error {
 	return c.Carrier.Validate()
 }
 
-// cellUE is the per-UE state inside a cell. The harq queue and buf are
-// used by the contention model only (see multiue.go); the share model
-// keeps them zero so its behavior — and RNG draw sequence — is
-// bit-identical to before they existed. Scalar per-UE quantities that the
-// schedulers scan every slot (OLLA offsets, PF served rates) live in the
-// Cell's structure-of-arrays slices instead, shared with the batch
-// stepper in cellbatch.go.
+// cellUE is the per-UE state inside a cell. The harq queue is used by
+// the contention model only (see multiue.go). The share model's UEs get
+// a full-buffer buf, on which Arrive is a no-op and Backlogged is always
+// true, so the shared sense pass gates nothing and draws nothing for
+// them. Scalar per-UE quantities that the schedulers scan every slot
+// live in the Cell's structure-of-arrays slices instead.
 type cellUE struct {
 	ch   *channel.Channel
 	csi  *ue.CSI
 	rng  *rand.Rand
 	harq []harqJob
 	buf  ue.Buffer
-}
-
-// ueState is one UE's per-slot scheduling input.
-type ueState struct {
-	idx    int
-	sample channel.Sample
-	report ue.Report
-	ready  bool
-	instSE float64 // estimated instantaneous rate ∝ metric input
 }
 
 // grant is one UE's share of a slot's RBs.
@@ -145,10 +135,15 @@ type Cell struct {
 	// they live in parallel slices rather than inside cellUE.
 	olla   []float64 // OLLA offsets (dB)
 	served []float64 // PF-smoothed served rates (bits/slot)
-	// pow memoizes 10^(olla/10) (see powCache). The value depends only
-	// on the offset's bits, so one table serves every UE, sized for the
-	// population so the per-UE walks don't evict each other.
-	pow powCache
+
+	// Per-slot views, index-matched with ues. The stepper writes each
+	// UE's channel state into sinr/outage; sense fills the rest.
+	sinr   []float64
+	outage []bool
+	cqi    []phy.CQI
+	ri     []int
+	instSE []float64 // estimated instantaneous rate ∝ metric input
+	ready  []bool
 
 	// Slot-path constants, shared by all UEs (they differ only in seeds).
 	slotDur  time.Duration
@@ -156,21 +151,27 @@ type Cell struct {
 	amc      amcDerived
 	tbs      *phy.TBSCache
 	dlSymTab []int // dlSymbols per TDD-period phase (length 1 for FDD)
+	// effByCQI hoists the CSI table's CQI→spectral-efficiency column so
+	// the sense pass indexes a flat array instead of calling Lookup once
+	// per UE per slot. Row 0, and any row whose Lookup fails, is 0.
+	effByCQI [phy.MaxCQI + 1]float64
 
 	// Per-slot scratch, reused so the steady-state loop allocates nothing.
-	states    []ueState
-	ready     []ueState
+	// order is the scheduler's working set: the UE indices eligible for a
+	// grant this slot, in ascending UE index (the contention PF pass
+	// re-sorts it into grant order); rb is the matching integer RB split.
+	order     []int
+	rb        []int
 	grants    []grant
 	scores    []pfScore
 	servedNow []float64
 	allocs    []UEAlloc
-
-	// Contention-model state (multiue.go): round-robin cursor, smoothed
-	// RB-utilization for load coupling, and the per-slot scheduled set.
-	rr        int
-	loadEMA   float64
 	scheduled []bool
-	rbAlloc   []int
+
+	// Round-robin cursor, and the smoothed RB utilization for load
+	// coupling (contention model).
+	rr      int
+	loadEMA float64
 }
 
 // UEAlloc is one UE's outcome in a slot.
@@ -201,11 +202,11 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 	if cfg.PFWindowSlots == 0 {
 		cfg.PFWindowSlots = 200
 	}
-	cell := &Cell{cfg: cfg}
+	cell := &Cell{cfg: cfg, slotDur: cfg.Carrier.Numerology.SlotDuration()}
 	for i, pos := range cfg.UEs {
 		chCfg := cfg.Carrier.Channel
 		chCfg.Route = channel.Stationary(pos)
-		chCfg.SlotDuration = cfg.Carrier.Numerology.SlotDuration()
+		chCfg.SlotDuration = cell.slotDur
 		chCfg.Seed = fleet.SplitSeed(cfg.Seed, "gnb/cell/channel", i)
 		ch, err := channel.New(chCfg)
 		if err != nil {
@@ -217,10 +218,16 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gnb: cell UE %d: %w", i, err)
 		}
+		offered := 0.0
+		if cfg.Traffic != nil {
+			offered = cfg.Traffic[i].OfferedMbps
+		}
 		cell.ues = append(cell.ues, &cellUE{
-			ch:  ch,
-			csi: csi,
-			rng: rand.New(rand.NewSource(fleet.SplitSeed(cfg.Seed, "gnb/cell/ue", i))),
+			ch:   ch,
+			csi:  csi,
+			rng:  rand.New(rand.NewSource(fleet.SplitSeed(cfg.Seed, "gnb/cell/ue", i))),
+			harq: make([]harqJob, 0, 8),
+			buf:  ue.NewBuffer(offered, cell.slotDur),
 		})
 	}
 	n := len(cell.ues)
@@ -229,11 +236,20 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 	for i := range cell.served {
 		cell.served[i] = 1
 	}
-	cell.pow = newPowCache(n)
-	cell.slotDur = cfg.Carrier.Numerology.SlotDuration()
+	cell.sinr = make([]float64, n)
+	cell.outage = make([]bool, n)
+	cell.cqi = make([]phy.CQI, n)
+	cell.ri = make([]int, n)
+	cell.instSE = make([]float64, n)
+	cell.ready = make([]bool, n)
 	cell.csiCfg = cell.ues[0].csi.Config() // UEs differ only in seed
 	cell.amc = newAMCDerived(cell.csiCfg, cfg.Carrier)
 	cell.tbs = phy.NewTBSCache(cfg.Carrier.MCSTable, cfg.Carrier.DMRSPerPRB, 0)
+	for q := phy.CQI(1); q <= phy.MaxCQI; q++ {
+		if row, err := cell.csiCfg.Table.Lookup(q); err == nil {
+			cell.effByCQI[q] = row.Efficiency
+		}
+	}
 	ccfg := cfg.Carrier
 	if ccfg.FDD {
 		cell.dlSymTab = []int{phy.SymbolsPerSlot - ccfg.PDCCHSymbols}
@@ -247,24 +263,13 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 			}
 		}
 	}
-	cell.states = make([]ueState, 0, n)
-	cell.ready = make([]ueState, 0, n)
+	cell.order = make([]int, 0, n)
+	cell.rb = make([]int, 0, n)
 	cell.grants = make([]grant, 0, n)
 	cell.scores = make([]pfScore, 0, n)
 	cell.servedNow = make([]float64, n)
 	cell.allocs = make([]UEAlloc, 0, n)
-	if cfg.Model == CellModelContention {
-		cell.scheduled = make([]bool, n)
-		cell.rbAlloc = make([]int, 0, n)
-		for i, u := range cell.ues {
-			offered := 0.0
-			if cfg.Traffic != nil {
-				offered = cfg.Traffic[i].OfferedMbps
-			}
-			u.buf = ue.NewBuffer(offered, cell.slotDur)
-			u.harq = make([]harqJob, 0, 8)
-		}
-	}
+	cell.scheduled = make([]bool, n)
 	// Observability only: record the cell's attached-UE population.
 	if obs.Enabled() {
 		obs.Sim.CellAttachedUEs.Set(float64(n))
@@ -272,69 +277,97 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 	return cell, nil
 }
 
-// Step advances one slot with all UEs backlogged on the downlink. The
-// returned CellSlot's Allocs slice is owned by the Cell and valid until
-// the next Step call. Under CellModelContention the slot instead runs
-// the full shared-resource loop in multiue.go (HARQ first, then fresh
-// grants, with per-UE buffers gating eligibility).
+// Step advances one slot. The returned CellSlot's Allocs slice is owned
+// by the Cell and valid until the next Step call. Each UE's channel
+// advances, then the shared sense pass runs, then the model's scheduler:
+// the share model's fractional split below, or the contention model's
+// HARQ-first integer-RB grants in multiue.go. CellBatch.Step runs the
+// same sense pass and contention scheduler and differs only in how the
+// channels advance and how the neighbour-load push fans out.
 //
 //detlint:zeroalloc
 func (c *Cell) Step() CellSlot {
-	if c.cfg.Model == CellModelContention {
-		return c.stepContention()
-	}
-	slot := c.slot
-	c.slot++
-	res := CellSlot{Slot: slot, Time: time.Duration(slot) * c.slotDur}
-
-	states := c.states[:0]
 	for i, u := range c.ues {
 		s := u.ch.Step()
-		u.csi.Observe(slot, s.SINRdB)
-		rep, ok := u.csi.Current()
-		st := ueState{idx: i, sample: s, report: rep, ready: ok && rep.CQI > 0 && !s.Outage}
-		if st.ready {
-			row, err := c.csiCfg.Table.Lookup(rep.CQI)
-			if err == nil {
-				st.instSE = row.Efficiency * float64(rep.RI)
-			}
-		}
-		states = append(states, st)
+		c.sinr[i], c.outage[i] = s.SINRdB, s.Outage
 	}
-	c.states = states
+	res := c.sense()
+	if c.cfg.Model == CellModelShare {
+		res.Allocs = c.share(res.Slot)
+		return res
+	}
+	var push bool
+	res.Allocs, push = c.contend(res.Slot)
+	if push {
+		for _, u := range c.ues {
+			u.ch.SetNeighborLoad(c.loadEMA)
+		}
+	}
+	return res
+}
 
+// sense runs the per-UE half of a slot over the channel state the
+// stepper has just written into sinr/outage: CSI observe, buffer
+// arrival, readiness and the instantaneous-rate estimate. Each UE draws
+// from its own CSI stream, so the order in which the channels advanced
+// does not matter. It advances the slot counter and returns the slot's
+// header.
+//
+//detlint:zeroalloc
+func (c *Cell) sense() CellSlot {
+	slot := c.slot
+	c.slot++
+	for i, u := range c.ues {
+		u.csi.Observe(slot, c.sinr[i])
+		u.buf.Arrive()
+		rep, ok := u.csi.Current()
+		c.cqi[i] = rep.CQI
+		c.ri[i] = rep.RI
+		c.instSE[i] = 0
+		ready := ok && rep.CQI > 0 && !c.outage[i] && u.buf.Backlogged()
+		c.ready[i] = ready
+		if ready && rep.CQI <= phy.MaxCQI {
+			c.instSE[i] = c.effByCQI[rep.CQI] * float64(rep.RI)
+		}
+	}
+	return CellSlot{Slot: slot, Time: time.Duration(slot) * c.slotDur}
+}
+
+// share is the share model's scheduler: it splits the slot's RBs into
+// fractions over the ready UEs and sends one jittered TB to each.
+//
+//detlint:zeroalloc
+func (c *Cell) share(slot int64) []UEAlloc {
 	dlSym := c.dlSymbols(slot)
 	if dlSym == 0 {
-		return res
+		return nil
 	}
-
-	// Pick the scheduled set and their RB fractions.
-	grants := c.grants[:0]
-	ready := c.ready[:0]
-	for _, st := range states {
-		if st.ready {
-			ready = append(ready, st)
+	order := c.order[:0]
+	for i, ok := range c.ready {
+		if ok {
+			order = append(order, i)
 		}
 	}
-	c.ready = ready
-	if len(ready) == 0 {
-		return res
+	c.order = order
+	if len(order) == 0 {
+		return nil
 	}
+	grants := c.grants[:0]
 	switch c.cfg.Policy {
 	case SchedulerMaxRate:
-		best := ready[0]
-		for _, st := range ready[1:] {
-			if st.instSE > best.instSE {
-				best = st
+		best := order[0]
+		for _, idx := range order[1:] {
+			if c.instSE[idx] > c.instSE[best] {
+				best = idx
 			}
 		}
-		grants = append(grants, grant{best.idx, 1})
+		grants = append(grants, grant{best, 1})
 	case SchedulerRoundRobin:
 		// Whole-slot rotation over backlogged UEs (time-domain TDM).
 		n := len(c.ues)
 		for off := 0; off < n; off++ {
 			cand := (c.rr + off) % n
-			if states[cand].ready {
+			if c.ready[cand] {
 				grants = append(grants, grant{cand, 1})
 				c.rr = (cand + 1) % n
 				break
@@ -344,9 +377,8 @@ func (c *Cell) Step() CellSlot {
 		// Rank by PF metric; split the slot between the top two
 		// proportionally to their metrics.
 		ss := c.scores[:0]
-		for _, st := range ready {
-			m := st.instSE / c.served[st.idx]
-			ss = append(ss, pfScore{st.idx, m})
+		for _, idx := range order {
+			ss = append(ss, pfScore{idx, c.instSE[idx] / c.served[idx]})
 		}
 		c.scores = ss
 		for i := 1; i < len(ss); i++ {
@@ -364,30 +396,29 @@ func (c *Cell) Step() CellSlot {
 			)
 		}
 	default: // equal share
-		frac := 1 / float64(len(ready))
-		for _, st := range ready {
-			grants = append(grants, grant{st.idx, frac})
+		frac := 1 / float64(len(order))
+		for _, idx := range order {
+			grants = append(grants, grant{idx, frac})
 		}
 	}
 	c.grants = grants
 
-	res.Allocs = c.allocs[:0]
+	allocs := c.allocs[:0]
 	for _, g := range grants {
-		st := &states[g.idx]
-		alloc, ok := c.transmitUE(g.idx, st.report, st.sample, dlSym, g.frac)
+		alloc, ok := c.transmitUE(g.idx, dlSym, g.frac)
 		if !ok {
 			continue
 		}
-		res.Allocs = append(res.Allocs, UEAlloc{
-			UE: g.idx, Alloc: alloc, SINRdB: st.sample.SINRdB, CQI: st.report.CQI,
+		allocs = append(allocs, UEAlloc{
+			UE: g.idx, Alloc: alloc, SINRdB: c.sinr[g.idx], CQI: c.cqi[g.idx],
 		})
 	}
-	c.allocs = res.Allocs
-	if len(res.Allocs) == 0 {
-		res.Allocs = nil // keep the no-traffic result shape of the old API
+	c.allocs = allocs
+	c.updatePFWindow(allocs)
+	if len(allocs) == 0 {
+		return nil // keep the no-traffic result shape of the old API
 	}
-	c.updatePFWindow(res.Allocs)
-	return res
+	return allocs
 }
 
 // updatePFWindow folds one slot's delivered bits into every UE's
@@ -413,13 +444,11 @@ func (c *Cell) updatePFWindow(allocs []UEAlloc) {
 	}
 }
 
-// ollaPow returns 10^(olla[i]/10), memoized (see powCache); misses
-// recompute with the exact expression the schedulers used inline, so the
-// memoized path is bit-identical.
+// ollaPow returns 10^(olla[i]/10), the OLLA offset as a linear factor.
 //
 //detlint:zeroalloc
 func (c *Cell) ollaPow(i int) float64 {
-	return c.pow.pow10(c.olla[i])
+	return math.Pow(10, c.olla[i]/10)
 }
 
 func (c *Cell) dlSymbols(slot int64) int {
@@ -431,10 +460,11 @@ func (c *Cell) dlSymbols(slot int64) int {
 // multi-UE HARQ bookkeeping adds little to the Fig. 14 questions).
 //
 //detlint:zeroalloc
-func (c *Cell) transmitUE(idx int, report ue.Report, sample channel.Sample, symbols int, frac float64) (Alloc, bool) {
+func (c *Cell) transmitUE(idx, symbols int, frac float64) (Alloc, bool) {
 	cfg := c.cfg.Carrier
 	u := c.ues[idx]
-	row, err := c.csiCfg.Table.Lookup(report.CQI)
+	rank := c.ri[idx]
+	row, err := c.csiCfg.Table.Lookup(c.cqi[idx])
 	if err != nil {
 		return Alloc{}, false
 	}
@@ -444,7 +474,7 @@ func (c *Cell) transmitUE(idx int, report ue.Report, sample channel.Sample, symb
 	if rbs < 1 {
 		rbs = 1
 	}
-	tbs, err := c.tbs.TBS(symbols, rbs, mcs, report.RI)
+	tbs, err := c.tbs.TBS(symbols, rbs, mcs, rank)
 	if err != nil {
 		return Alloc{}, false
 	}
@@ -455,13 +485,13 @@ func (c *Cell) transmitUE(idx int, report ue.Report, sample channel.Sample, symb
 	}
 	params := phy.TBSParams{
 		Symbols: symbols, DMRSPerPRB: dmrs, PRBs: rbs,
-		Layers: report.RI,
+		Layers: rank,
 	}
 	req, err := cfg.MCSTable.RequiredSINRdB(mcs)
 	if err != nil {
 		return Alloc{}, false
 	}
-	perLayer := sample.SINRdB - c.amc.layerPenalty(c.csiCfg.LayerPenaltyExp, report.RI)
+	perLayer := c.sinr[idx] - c.amc.layerPenalty(c.csiCfg.LayerPenaltyExp, rank)
 	ack := blerAck(u.rng.Float64(), perLayer, req)
 	if ack {
 		c.olla[idx] += 0.05 * cfg.TargetBLER / (1 - cfg.TargetBLER)
@@ -475,15 +505,15 @@ func (c *Cell) transmitUE(idx int, report ue.Report, sample channel.Sample, symb
 	}
 	return Alloc{
 		RBs: rbs, REs: params.REs(), Table: cfg.MCSTable, MCS: mcs,
-		Rank: report.RI, TBSBits: tbs, ACK: ack, DeliveredBits: delivered,
+		Rank: rank, TBSBits: tbs, ACK: ack, DeliveredBits: delivered,
 	}, true
 }
 
-// SlotDuration returns the cell's slot length.
 // Config returns the cell's effective configuration, with carrier and
 // PF-window defaults applied.
 func (c *Cell) Config() CellConfig { return c.cfg }
 
+// SlotDuration returns the cell's slot length.
 func (c *Cell) SlotDuration() time.Duration {
 	return c.slotDur
 }

@@ -5,72 +5,45 @@ import (
 	"time"
 
 	"github.com/midband5g/midband/internal/channel"
-	"github.com/midband5g/midband/internal/phy"
-	"github.com/midband5g/midband/internal/ue"
 )
 
-// This file is the structure-of-arrays slot engine for population-scale
-// contention cells. A CellBatch adopts an existing contention-model Cell
-// and advances its whole UE set per slot as tight loops over parallel
-// slices: channel fading via channel.Batch (per-lane AR(1) constants
-// hoisted, RSRQ conversion and Sample construction skipped), CSI-report
-// CQI/RI/instSE as flat arrays, and the scheduler pass reading those
-// arrays directly instead of an []ueState array-of-structs. The per-slot
-// constants the scalar path re-derives per UE — the CQI→efficiency
-// ladder, the TBS cache, the amcDerived factors — are hoisted once at
-// adoption time.
+// This file is the batched stepper for population-scale contention
+// cells. A CellBatch adopts an existing contention-model Cell and moves
+// its UEs' channels into a channel.Batch, which advances the fading of
+// the whole UE set in one structure-of-arrays pass (per-lane AR(1)
+// constants hoisted, RSRQ conversion and Sample construction skipped).
+// Everything after the channels is the Cell's own code: the same sense
+// pass and the same contention scheduler that Cell.Step runs. The two
+// Steps differ only in how the channels advance and in how the
+// neighbour-load push fans out.
 //
 // Determinism contract: CellBatch.Step is draw-for-draw and bit-identical
-// to Cell.Step on the same configuration. Every RNG consumer keeps its
-// own fleet.SplitSeed-derived stream (channel, CSI, UE ACK draws), and
-// the slot algorithm below mirrors stepContention's exact operation
-// order — sense loop, UL-slot early return, HARQ retransmissions in
-// UE-index order, policy grants (including the PF co-sort that fixes the
-// grant order), PF-window update, load-coupling push. The lockstep tests
-// in cellbatch_test.go pin this with Float64bits equality over ≥100k
-// slots for all four schedulers.
+// to Cell.Step on the same configuration. channel.Batch.StepInto
+// reproduces Channel.Step per lane (internal/channel/batch_test.go),
+// every RNG consumer keeps its own fleet.SplitSeed-derived stream, and
+// the load push visits lanes in UE-index order. The lockstep tests in
+// cellbatch_test.go pin this with Float64bits equality over ≥100k slots
+// for all four schedulers.
 
-// CellBatch advances a contention-model Cell one slot per call using
-// structure-of-arrays inner loops. It adopts the Cell passed to
-// NewCellBatch: the UEs' channels move into a channel.Batch, and the
-// Cell must not be stepped directly until Detach. Not safe for
-// concurrent use.
+// CellBatch advances a contention-model Cell one slot per call with its
+// UE channels batched. It adopts the Cell passed to NewCellBatch: the
+// UEs' channels move into a channel.Batch, and the Cell must not be
+// stepped directly until Detach. Not safe for concurrent use.
 type CellBatch struct {
 	cell *Cell
 	chb  *channel.Batch
-
-	// Per-UE per-slot state, index-matched with the cell's UE set.
-	sinr   []float64
-	outage []bool
-	cqi    []phy.CQI
-	ri     []int
-	instSE []float64
-	ready  []bool
-
-	// order is the scheduler's working set: the UE indices eligible for
-	// fresh grants this slot, in the policy's grant order (ascending UE
-	// index except PF, which co-sorts by descending metric exactly as the
-	// scalar path reorders its ready slice).
-	order []int
-	rb    []int
-
-	// effByCQI hoists the CSI table's CQI→spectral-efficiency column so
-	// the sense loop indexes a flat array instead of calling Lookup (with
-	// its error path) once per UE per slot. Row 0 is 0 ("out of range").
-	effByCQI [phy.MaxCQI + 1]float64
 }
 
 // NewCellBatch adopts a contention-model Cell into a batch stepper. The
 // Cell keeps all its state (RNG streams, HARQ queues, buffers, OLLA and
-// PF arrays); the batch only relocates the channels' fading state and
-// hoists read-only constants. The Cell must not be stepped directly
-// while adopted.
+// PF arrays); the batch only relocates the channels' fading state. The
+// Cell must not be stepped directly while adopted.
 func NewCellBatch(cell *Cell) (*CellBatch, error) {
 	if cell == nil {
 		return nil, fmt.Errorf("gnb: batch needs a cell")
 	}
 	if cell.cfg.Model != CellModelContention {
-		return nil, fmt.Errorf("gnb: batch stepping requires CellModelContention (share model is the scalar reference)")
+		return nil, fmt.Errorf("gnb: batch stepping requires CellModelContention (the share model steps only through Cell.Step)")
 	}
 	chs := make([]*channel.Channel, len(cell.ues))
 	for i, u := range cell.ues {
@@ -80,214 +53,22 @@ func NewCellBatch(cell *Cell) (*CellBatch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gnb: batch: %w", err)
 	}
-	n := len(cell.ues)
-	b := &CellBatch{
-		cell:   cell,
-		chb:    chb,
-		sinr:   make([]float64, n),
-		outage: make([]bool, n),
-		cqi:    make([]phy.CQI, n),
-		ri:     make([]int, n),
-		instSE: make([]float64, n),
-		ready:  make([]bool, n),
-		order:  make([]int, 0, n),
-		rb:     make([]int, 0, n),
-	}
-	for q := phy.CQI(1); q <= phy.MaxCQI; q++ {
-		row, err := cell.csiCfg.Table.Lookup(q)
-		if err != nil {
-			return nil, fmt.Errorf("gnb: batch: CQI ladder: %w", err)
-		}
-		b.effByCQI[q] = row.Efficiency
-	}
-	return b, nil
+	return &CellBatch{cell: cell, chb: chb}, nil
 }
 
 // Step advances one slot for the whole UE population. The returned
 // CellSlot's Allocs slice is owned by the underlying Cell and valid
-// until the next Step call. The algorithm is stepContention's, restated
-// over the SoA views; see the file comment for the equivalence contract.
+// until the next Step call. See the file comment for the equivalence
+// contract with Cell.Step.
 //
 //detlint:zeroalloc
 func (b *CellBatch) Step() CellSlot {
 	c := b.cell
-	slot := c.slot
-	c.slot++
-	res := CellSlot{Slot: slot, Time: time.Duration(slot) * c.slotDur}
-
-	// Sense: all channels advance in one SoA pass, then the CSI loops and
-	// arrival processes run over the fresh SINR array. Draw order per UE
-	// is unchanged (channel stream, then CSI stream); cross-UE order is
-	// free because every stream is independent.
-	b.chb.StepInto(b.sinr, b.outage)
-	for i, u := range c.ues {
-		u.csi.Observe(slot, b.sinr[i])
-		u.buf.Arrive()
-		rep, ok := u.csi.Current()
-		b.cqi[i] = rep.CQI
-		b.ri[i] = rep.RI
-		b.instSE[i] = 0
-		ready := ok && rep.CQI > 0 && !b.outage[i] && u.buf.Backlogged()
-		b.ready[i] = ready
-		if ready && rep.CQI <= phy.MaxCQI {
-			b.instSE[i] = b.effByCQI[rep.CQI] * float64(rep.RI)
-		}
-	}
-
-	dlSym := c.dlSymbols(slot)
-	if dlSym == 0 {
-		return res
-	}
-
-	budget := c.cfg.Carrier.NRB
-	res.Allocs = c.allocs[:0]
-	sched := c.scheduled
-	for i := range sched {
-		sched[i] = false
-	}
-
-	// HARQ retransmissions first, in UE-index order (same preemption rule
-	// as the scalar path: RTT-ready, fits the remaining budget, link up).
-	for i, u := range c.ues {
-		if budget < 1 {
-			break
-		}
-		if b.outage[i] {
-			continue
-		}
-		job, ok := popReadyFit(&u.harq, slot, budget)
-		if !ok {
-			continue
-		}
-		budget -= job.rbs
-		sched[i] = true
-		if a, ok := c.deliver(slot, i, job, b.sinr[i]); ok {
-			res.Allocs = append(res.Allocs, UEAlloc{
-				UE: i, Alloc: a, SINRdB: b.sinr[i], CQI: b.cqi[i],
-			})
-		}
-	}
-
-	// Fresh grants over the SoA views: order collects the eligible UE
-	// indices, rb their integer RB shares, both in grant order.
-	order := b.order[:0]
-	for i := range c.ues {
-		if b.ready[i] && !sched[i] {
-			order = append(order, i)
-		}
-	}
-	b.order = order
-	if budget > 0 && len(order) > 0 {
-		rb := b.rb[:0]
-		switch c.cfg.Policy {
-		case SchedulerMaxRate:
-			best := 0
-			for k, idx := range order[1:] {
-				if b.instSE[idx] > b.instSE[order[best]] {
-					best = k + 1
-				}
-			}
-			for k := range order {
-				w := 0
-				if k == best {
-					w = budget
-				}
-				rb = append(rb, w)
-			}
-		case SchedulerRoundRobin:
-			n := len(c.ues)
-			chosen := -1
-			for off := 0; off < n && chosen < 0; off++ {
-				cand := (c.rr + off) % n
-				if b.ready[cand] && !sched[cand] {
-					chosen = cand
-				}
-			}
-			c.rr = (chosen + 1) % n
-			for _, idx := range order {
-				w := 0
-				if idx == chosen {
-					w = budget
-				}
-				rb = append(rb, w)
-			}
-		case SchedulerProportionalFair:
-			// Identical to the scalar PF pass: metrics in UE-index order,
-			// insertion sort descending co-sorting order, integer shares
-			// with a descending-prefix remainder. The co-sort matters:
-			// grant order fixes the Allocs order the callers see.
-			ss := c.scores[:0]
-			total := 0.0
-			for _, idx := range order {
-				m := b.instSE[idx] / c.served[idx]
-				ss = append(ss, pfScore{idx, m})
-				total += m
-			}
-			c.scores = ss
-			for i := 1; i < len(ss); i++ {
-				for j := i; j > 0 && ss[j].metric > ss[j-1].metric; j-- {
-					ss[j], ss[j-1] = ss[j-1], ss[j]
-					order[j], order[j-1] = order[j-1], order[j]
-				}
-			}
-			left := budget
-			for _, s := range ss {
-				w := 0
-				if total > 0 {
-					w = int(float64(budget) * s.metric / total)
-				}
-				rb = append(rb, w)
-				left -= w
-			}
-			for i := 0; i < len(rb) && left > 0; i++ {
-				rb[i]++
-				left--
-			}
-		default: // equal share
-			q, r := budget/len(order), budget%len(order)
-			for k := range order {
-				w := q
-				if k < r {
-					w++
-				}
-				rb = append(rb, w)
-			}
-		}
-		b.rb = rb
-
-		for k, idx := range order {
-			rbs := rb[k]
-			if rbs < 1 {
-				continue
-			}
-			rep := ue.Report{CQI: b.cqi[idx], RI: b.ri[idx]}
-			job, ok := c.newContentionTB(slot, idx, rep, dlSym, rbs)
-			if !ok {
-				continue
-			}
-			if a, ok := c.deliver(slot, idx, job, b.sinr[idx]); ok {
-				res.Allocs = append(res.Allocs, UEAlloc{
-					UE: idx, Alloc: a, SINRdB: b.sinr[idx], CQI: b.cqi[idx],
-				})
-			}
-		}
-	}
-
-	c.allocs = res.Allocs
-	if len(res.Allocs) == 0 {
-		res.Allocs = nil
-	}
-	c.updatePFWindow(res.Allocs)
-
-	// Load coupling, with the push fanned out through the channel batch
-	// (lane order is UE-index order, matching the scalar loop).
-	granted := 0
-	for _, a := range res.Allocs {
-		granted += a.Alloc.RBs
-	}
-	util := float64(granted) / float64(c.cfg.Carrier.NRB)
-	c.loadEMA += (util - c.loadEMA) / loadEMAWindow
-	if !c.cfg.DisableLoadCoupling && len(c.ues) > 1 && slot%loadPushPeriod == loadPushPeriod-1 {
+	b.chb.StepInto(c.sinr, c.outage)
+	res := c.sense()
+	var push bool
+	res.Allocs, push = c.contend(res.Slot)
+	if push {
 		b.chb.SetNeighborLoad(c.loadEMA)
 	}
 	return res

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"github.com/midband5g/midband/internal/obs"
 	"github.com/midband5g/midband/internal/phy"
-	"github.com/midband5g/midband/internal/ue"
 )
 
 // This file is the full multi-UE contention model behind CellModelContention:
@@ -75,43 +73,24 @@ const (
 	loadPushPeriod = 64
 )
 
-// stepContention is Step for CellModelContention. Scheduling order within
-// a slot: HARQ retransmissions first (in UE-index order, each keeping its
+// contend is the contention model's scheduler, run by both Cell.Step
+// and CellBatch.Step after the sense pass. Scheduling order within a
+// slot: HARQ retransmissions first (in UE-index order, each keeping its
 // original RB footprint), then fresh transport blocks for the remaining
 // backlogged UEs under the configured policy, all within the carrier's
-// NRB budget. The returned Allocs slice is owned by the Cell.
+// NRB budget. It returns the slot's allocs (in the Cell's reused
+// buffer) and whether the stepper should now push loadEMA into the UEs'
+// channels as their neighbour load.
 //
 //detlint:zeroalloc
-func (c *Cell) stepContention() CellSlot {
-	slot := c.slot
-	c.slot++
-	res := CellSlot{Slot: slot, Time: time.Duration(slot) * c.slotDur}
-
-	states := c.states[:0]
-	for i, u := range c.ues {
-		s := u.ch.Step()
-		u.csi.Observe(slot, s.SINRdB)
-		u.buf.Arrive()
-		rep, ok := u.csi.Current()
-		st := ueState{idx: i, sample: s, report: rep,
-			ready: ok && rep.CQI > 0 && !s.Outage && u.buf.Backlogged()}
-		if st.ready {
-			row, err := c.csiCfg.Table.Lookup(rep.CQI)
-			if err == nil {
-				st.instSE = row.Efficiency * float64(rep.RI)
-			}
-		}
-		states = append(states, st)
-	}
-	c.states = states
-
+func (c *Cell) contend(slot int64) ([]UEAlloc, bool) {
 	dlSym := c.dlSymbols(slot)
 	if dlSym == 0 {
-		return res
+		return nil, false
 	}
 
 	budget := c.cfg.Carrier.NRB
-	res.Allocs = c.allocs[:0]
+	allocs := c.allocs[:0]
 	sched := c.scheduled
 	for i := range sched {
 		sched[i] = false
@@ -125,7 +104,7 @@ func (c *Cell) stepContention() CellSlot {
 		if budget < 1 {
 			break
 		}
-		if states[i].sample.Outage {
+		if c.outage[i] {
 			continue
 		}
 		job, ok := popReadyFit(&u.harq, slot, budget)
@@ -134,36 +113,36 @@ func (c *Cell) stepContention() CellSlot {
 		}
 		budget -= job.rbs
 		sched[i] = true
-		if a, ok := c.deliver(slot, i, job, states[i].sample.SINRdB); ok {
-			res.Allocs = append(res.Allocs, UEAlloc{
-				UE: i, Alloc: a, SINRdB: states[i].sample.SINRdB, CQI: states[i].report.CQI,
-			})
+		if a, ok := c.deliver(slot, i, job, c.sinr[i]); ok {
+			allocs = append(allocs, UEAlloc{UE: i, Alloc: a, SINRdB: c.sinr[i], CQI: c.cqi[i]})
 		}
 	}
 
-	// Fresh grants for the backlogged UEs that did not retransmit.
-	ready := c.ready[:0]
-	for _, st := range states {
-		if st.ready && !sched[st.idx] {
-			ready = append(ready, st)
+	// Fresh grants for the backlogged UEs that did not retransmit: order
+	// collects their indices, rb their integer RB shares, both in grant
+	// order.
+	order := c.order[:0]
+	for i, ok := range c.ready {
+		if ok && !sched[i] {
+			order = append(order, i)
 		}
 	}
-	c.ready = ready
-	if budget > 0 && len(ready) > 0 {
-		rb := c.rbAlloc[:0]
+	c.order = order
+	if budget > 0 && len(order) > 0 {
+		rb := c.rb[:0]
 		switch c.cfg.Policy {
 		case SchedulerMaxRate:
 			// Whole remaining budget to the best instantaneous spectral
 			// efficiency (ties break on the lower UE index).
 			best := 0
-			for i, st := range ready[1:] {
-				if st.instSE > ready[best].instSE {
-					best = i + 1
+			for k, idx := range order[1:] {
+				if c.instSE[idx] > c.instSE[order[best]] {
+					best = k + 1
 				}
 			}
-			for i := range ready {
+			for k := range order {
 				w := 0
-				if i == best {
+				if k == best {
 					w = budget
 				}
 				rb = append(rb, w)
@@ -176,14 +155,14 @@ func (c *Cell) stepContention() CellSlot {
 			chosen := -1
 			for off := 0; off < n && chosen < 0; off++ {
 				cand := (c.rr + off) % n
-				if states[cand].ready && !sched[cand] {
+				if c.ready[cand] && !sched[cand] {
 					chosen = cand
 				}
 			}
 			c.rr = (chosen + 1) % n
-			for i := range ready {
+			for _, idx := range order {
 				w := 0
-				if ready[i].idx == chosen {
+				if idx == chosen {
 					w = budget
 				}
 				rb = append(rb, w)
@@ -194,20 +173,21 @@ func (c *Cell) stepContention() CellSlot {
 			// (instantaneous rate over window-smoothed served rate), with
 			// the rounding remainder going to the highest metrics. The
 			// served-rate window below is what makes this fair over time.
-			// ready is reordered by descending metric so the remainder
-			// pass is a prefix walk.
+			// order is co-sorted by descending metric, which fixes the
+			// grant (and Allocs) order and makes the remainder pass a
+			// prefix walk.
 			ss := c.scores[:0]
 			total := 0.0
-			for _, st := range ready {
-				m := st.instSE / c.served[st.idx]
-				ss = append(ss, pfScore{st.idx, m})
+			for _, idx := range order {
+				m := c.instSE[idx] / c.served[idx]
+				ss = append(ss, pfScore{idx, m})
 				total += m
 			}
 			c.scores = ss
 			for i := 1; i < len(ss); i++ {
 				for j := i; j > 0 && ss[j].metric > ss[j-1].metric; j-- {
 					ss[j], ss[j-1] = ss[j-1], ss[j]
-					ready[j], ready[j-1] = ready[j-1], ready[j]
+					order[j], order[j-1] = order[j-1], order[j]
 				}
 			}
 			left := budget
@@ -226,56 +206,49 @@ func (c *Cell) stepContention() CellSlot {
 				left--
 			}
 		default: // equal share
-			q, r := budget/len(ready), budget%len(ready)
-			for i := range ready {
+			q, r := budget/len(order), budget%len(order)
+			for k := range order {
 				w := q
-				if i < r {
+				if k < r {
 					w++
 				}
 				rb = append(rb, w)
 			}
 		}
-		c.rbAlloc = rb
+		c.rb = rb
 
-		for i, st := range ready {
-			rbs := rb[i]
-			if rbs < 1 {
+		for k, idx := range order {
+			if rb[k] < 1 {
 				continue
 			}
-			job, ok := c.newContentionTB(slot, st.idx, st.report, dlSym, rbs)
+			job, ok := c.newContentionTB(slot, idx, dlSym, rb[k])
 			if !ok {
 				continue
 			}
-			if a, ok := c.deliver(slot, st.idx, job, st.sample.SINRdB); ok {
-				res.Allocs = append(res.Allocs, UEAlloc{
-					UE: st.idx, Alloc: a, SINRdB: st.sample.SINRdB, CQI: st.report.CQI,
-				})
+			if a, ok := c.deliver(slot, idx, job, c.sinr[idx]); ok {
+				allocs = append(allocs, UEAlloc{UE: idx, Alloc: a, SINRdB: c.sinr[idx], CQI: c.cqi[idx]})
 			}
 		}
 	}
 
-	c.allocs = res.Allocs
-	if len(res.Allocs) == 0 {
-		res.Allocs = nil
-	}
-	c.updatePFWindow(res.Allocs)
+	c.allocs = allocs
+	c.updatePFWindow(allocs)
 
-	// Load coupling: fold this slot's RB utilization into the EMA and
-	// periodically mirror it into each UE's channel as the neighbor
-	// activity factor. Real co-UEs thus replace the statistical
+	// Load coupling: fold this slot's RB utilization into the EMA; the
+	// stepper periodically mirrors it into each UE's channel as the
+	// neighbor activity factor. Real co-UEs thus replace the statistical
 	// NeighborLoad: a saturated cell sees saturated neighbors.
 	granted := 0
-	for _, a := range res.Allocs {
+	for _, a := range allocs {
 		granted += a.Alloc.RBs
 	}
 	util := float64(granted) / float64(c.cfg.Carrier.NRB)
 	c.loadEMA += (util - c.loadEMA) / loadEMAWindow
-	if !c.cfg.DisableLoadCoupling && len(c.ues) > 1 && slot%loadPushPeriod == loadPushPeriod-1 {
-		for _, u := range c.ues {
-			u.ch.SetNeighborLoad(c.loadEMA)
-		}
+	push := !c.cfg.DisableLoadCoupling && len(c.ues) > 1 && slot%loadPushPeriod == loadPushPeriod-1
+	if len(allocs) == 0 {
+		return nil, push
 	}
-	return res
+	return allocs, push
 }
 
 // newContentionTB sizes a fresh transport block for an integer RB grant,
@@ -283,16 +256,17 @@ func (c *Cell) stepContention() CellSlot {
 // jitter: the scheduler's split already decides the exact footprint).
 //
 //detlint:zeroalloc
-func (c *Cell) newContentionTB(slot int64, idx int, report ue.Report, symbols, rbs int) (harqJob, bool) {
+func (c *Cell) newContentionTB(slot int64, idx, symbols, rbs int) (harqJob, bool) {
 	cfg := c.cfg.Carrier
 	u := c.ues[idx]
-	row, err := c.csiCfg.Table.Lookup(report.CQI)
+	rank := c.ri[idx]
+	row, err := c.csiCfg.Table.Lookup(c.cqi[idx])
 	if err != nil {
 		return harqJob{}, false
 	}
 	eff := row.Efficiency * c.ollaPow(idx)
 	mcs := cfg.MCSTable.HighestMCSForEfficiency(eff)
-	tbs, err := c.tbs.TBS(symbols, rbs, mcs, report.RI)
+	tbs, err := c.tbs.TBS(symbols, rbs, mcs, rank)
 	if err != nil {
 		return harqJob{}, false
 	}
@@ -306,7 +280,7 @@ func (c *Cell) newContentionTB(slot int64, idx int, report ue.Report, symbols, r
 			shrunk = 1
 		}
 		if shrunk < rbs {
-			if t2, err := c.tbs.TBS(symbols, shrunk, mcs, report.RI); err == nil {
+			if t2, err := c.tbs.TBS(symbols, shrunk, mcs, rank); err == nil {
 				rbs, tbs = shrunk, t2
 			}
 		}
@@ -316,11 +290,11 @@ func (c *Cell) newContentionTB(slot int64, idx int, report ue.Report, symbols, r
 		dmrs = m
 	}
 	params := phy.TBSParams{
-		Symbols: symbols, DMRSPerPRB: dmrs, PRBs: rbs, Layers: report.RI,
+		Symbols: symbols, DMRSPerPRB: dmrs, PRBs: rbs, Layers: rank,
 	}
 	return harqJob{
 		readySlot: slot,
-		rank:      report.RI,
+		rank:      rank,
 		table:     cfg.MCSTable,
 		mcs:       mcs,
 		rbs:       rbs,
