@@ -402,6 +402,26 @@ func BenchmarkLinkStep(b *testing.B) {
 	}
 }
 
+// Micro-benchmark: the mobile-route hot path — the §7 mmWave link (4 CC
+// + LTE anchor) walking the 14-site corridor, where every slot scans the
+// sites once for the four co-sited carriers.
+func BenchmarkLinkStepMobile(b *testing.B) {
+	op, err := midband.OperatorByAcronym("Vzw_mmW")
+	if err != nil {
+		b.Fatal(err)
+	}
+	link, err := midband.NewLink(op, midband.Walking(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	demand := midband.Demand{DL: true, UL: true, Share: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		link.Step(demand)
+	}
+}
+
 // Micro-benchmark: a full 10-second iperf measurement.
 func BenchmarkIperf10s(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -240,6 +240,11 @@ type Channel struct {
 	geoRSRQDBm float64 // 10·log10(noiseMW + RSRQ interference)
 	powers     []float64
 
+	// scan memoizes a mobile channel's site scan. It points at ownScan
+	// until ShareSiteScan points it at a co-sited channel's memo.
+	scan    *siteScan
+	ownScan siteScan
+
 	// skipRSRQ, when set via SetRSRQNeeded(false), elides the RSRQ
 	// conversion (a pow and a log per slot) and reports Sample.RSRQdB as
 	// 0. Callers that consume nothing but SINR/outage — warm-up sessions,
@@ -294,7 +299,66 @@ func New(cfg Config) (*Channel, error) {
 		interfRSRQ := ch.geoInterf*rsrqLoad + ch.floorMW
 		ch.geoRSRQDBm = 10 * math.Log10(ch.noiseMW+interfRSRQ)
 	}
+	ch.scan = &ch.ownScan
 	return ch, nil
+}
+
+// siteScan is the last strongestSite result of one channel, or of a
+// group of channels whose scan inputs are bit-equal (see ShareSiteScan).
+// It is keyed on the exact bits of the UE position: a hit returns what
+// the scan would recompute, so sharing changes cost, never a sample.
+type siteScan struct {
+	valid      bool
+	posX, posY uint64 // math.Float64bits of the scanned position
+	cell       int
+	rsrp       float64 // dBm
+	interf     float64 // mW
+}
+
+// at returns the site scan of d at pos, running strongestSite only when
+// pos differs from the memoized position.
+//
+//detlint:zeroalloc
+func (m *siteScan) at(d *Deployment, pos Point, fcMHz float64, powers []float64) (cell int, rsrpDBm, interfMW float64) {
+	x, y := math.Float64bits(pos.X), math.Float64bits(pos.Y)
+	if !m.valid || x != m.posX || y != m.posY {
+		m.cell, m.rsrp, m.interf = d.strongestSite(pos, fcMHz, powers)
+		m.posX, m.posY, m.valid = x, y, true
+	}
+	return m.cell, m.rsrp, m.interf
+}
+
+// ShareSiteScan makes c reuse other's per-slot site scan when both scan
+// the same deployment at the same frequency: CarrierFreqMHz,
+// Deployment.TxPowerDBmPerRE and every site coordinate bit-equal. Co-sited
+// carriers on one UE route then scan the sites once per slot instead of
+// once per carrier; samples stay bit-identical. It reports whether c
+// joined. Channels on a stationary route precompute their scan and never
+// join. Channels that share a scan must be stepped from one goroutine.
+func (c *Channel) ShareSiteScan(other *Channel) bool {
+	if c.staticGeo || other.staticGeo || !sameScanInputs(&c.cfg, &other.cfg) {
+		return false
+	}
+	c.scan = other.scan
+	return true
+}
+
+// sameScanInputs reports whether strongestSite sees bit-equal inputs,
+// apart from the position, under a and b.
+func sameScanInputs(a, b *Config) bool {
+	da, db := &a.Deployment, &b.Deployment
+	if math.Float64bits(a.CarrierFreqMHz) != math.Float64bits(b.CarrierFreqMHz) ||
+		math.Float64bits(da.TxPowerDBmPerRE) != math.Float64bits(db.TxPowerDBmPerRE) ||
+		len(da.Sites) != len(db.Sites) {
+		return false
+	}
+	for i, s := range da.Sites {
+		t := db.Sites[i]
+		if math.Float64bits(s.X) != math.Float64bits(t.X) || math.Float64bits(s.Y) != math.Float64bits(t.Y) {
+			return false
+		}
+	}
+	return true
 }
 
 // Slot returns the index of the next sample to be produced.
@@ -398,7 +462,7 @@ func (c *Channel) StepInto(out *Sample) {
 	if c.staticGeo {
 		cell, rsrp, interfMW = c.geoCell, c.geoRSRP, c.geoInterf
 	} else {
-		cell, rsrp, interfMW = c.cfg.Deployment.strongestSite(pos, c.cfg.CarrierFreqMHz, c.powers)
+		cell, rsrp, interfMW = c.scan.at(&c.cfg.Deployment, pos, c.cfg.CarrierFreqMHz, c.powers)
 	}
 	rsrp += c.shadowDB
 

@@ -115,15 +115,19 @@ func (d Deployment) StrongestSite(p Point, fcMHz float64) (idx int, rsrpDBm floa
 }
 
 // strongestSite is StrongestSite with a caller-provided scratch slice
-// (len ≥ len(d.Sites)) so the per-slot hot path allocates nothing.
+// (len ≥ len(d.Sites)) so the per-slot hot path allocates nothing. The
+// frequency term of the path loss is a scan constant, hoisted out of the
+// per-site loop; pathLoss keeps PathLossDB's evaluation order, so every
+// site's received power is bit-identical to the unhoisted expression.
 //
 //detlint:zeroalloc
 func (d Deployment) strongestSite(p Point, fcMHz float64, powers []float64) (idx int, rsrpDBm float64, interfMW float64) {
 	best := math.Inf(-1)
 	idx = -1
+	fcTerm := pathLossFcTerm(fcMHz)
 	powers = powers[:len(d.Sites)]
 	for i, s := range d.Sites {
-		rx := d.TxPowerDBmPerRE - PathLossDB(p.Distance(s), fcMHz)
+		rx := d.TxPowerDBmPerRE - pathLoss(p.Distance(s), fcTerm)
 		powers[i] = rx
 		if rx > best {
 			best = rx
@@ -141,8 +145,17 @@ func (d Deployment) strongestSite(p Point, fcMHz float64, powers []float64) (idx
 // PathLossDB is a 3GPP UMa-style line-of-sight path-loss model:
 // 28.0 + 22·log10(d) + 20·log10(fc_GHz), with a 10 m minimum distance.
 func PathLossDB(dMeters, fcMHz float64) float64 {
+	return pathLoss(dMeters, pathLossFcTerm(fcMHz))
+}
+
+// pathLossFcTerm is PathLossDB's frequency term, 20·log10(fc_GHz).
+func pathLossFcTerm(fcMHz float64) float64 { return 20 * math.Log10(fcMHz/1000) }
+
+// pathLoss is PathLossDB with the frequency term precomputed. The sum
+// keeps the order 28.0 + 22·log10(d) + fcTerm.
+func pathLoss(dMeters, fcTerm float64) float64 {
 	if dMeters < 10 {
 		dMeters = 10
 	}
-	return 28.0 + 22*math.Log10(dMeters) + 20*math.Log10(fcMHz/1000)
+	return 28.0 + 22*math.Log10(dMeters) + fcTerm
 }

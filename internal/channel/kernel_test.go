@@ -69,7 +69,32 @@ func (c *referenceChannel) step() Sample {
 		c.slowDB = rhoS*c.slowDB + math.Sqrt(1-rhoS*rhoS)*c.rng.NormFloat64()*c.cfg.SlowSigmaDB
 	}
 
-	cell, rsrp, interfMW := c.cfg.Deployment.StrongestSite(pos, c.cfg.CarrierFreqMHz)
+	// The site scan written out in full — the whole path-loss expression
+	// per site, frequency term included, and no memo — so the hoisted,
+	// memoized production scan is checked against independent
+	// arithmetic rather than against itself.
+	d := c.cfg.Deployment
+	cell, rsrp := -1, math.Inf(-1)
+	powers := make([]float64, len(d.Sites))
+	for i, s := range d.Sites {
+		dist := pos.Distance(s)
+		if dist < 10 {
+			dist = 10
+		}
+		pl := 28.0 + 22*math.Log10(dist) + 20*math.Log10(c.cfg.CarrierFreqMHz/1000)
+		rx := d.TxPowerDBmPerRE - pl
+		powers[i] = rx
+		if rx > rsrp {
+			rsrp = rx
+			cell = i
+		}
+	}
+	interfMW := 0.0
+	for i, rx := range powers {
+		if i != cell {
+			interfMW += math.Pow(10, rx/10)
+		}
+	}
 	rsrp += c.shadowDB
 
 	los, outage := true, false
@@ -108,11 +133,17 @@ func (c *referenceChannel) step() Sample {
 
 // kernelTrajectories covers all the specialized paths of the optimized
 // Step: static geometry, Doppler-shortened coherence, multi-segment route
-// ping-pong, slow drift, episodes and the blockage chain.
+// ping-pong, slow drift, episodes, the blockage chain and a many-site
+// mobile scan.
 func kernelTrajectories() map[string]Config {
 	deploy := Deployment{
 		Sites:           []Point{{0, 0}, {900, 200}, {-400, 800}},
 		TxPowerDBmPerRE: 18,
+	}
+	// The §7 mmWave corridor: 14 small cells 150 m apart along the route.
+	corridor := Deployment{Sites: make([]Point, 14), TxPowerDBmPerRE: 18}
+	for i := range corridor.Sites {
+		corridor.Sites[i] = Point{X: float64(i) * 150}
 	}
 	return map[string]Config{
 		"stationary": {
@@ -143,6 +174,18 @@ func kernelTrajectories() map[string]Config {
 				SpeedMPS:  MobilityWalking,
 			},
 			Deployment: deploy,
+		},
+		"corridor-walking": {
+			CarrierFreqMHz: 28000,
+			SlotDuration:   125 * time.Microsecond,
+			Seed:           53,
+			Route: Route{
+				Waypoints: []Point{{0, 25}, {400, 25}},
+				SpeedMPS:  MobilityWalking,
+			},
+			Deployment:  corridor,
+			FastSigmaDB: 2.5,
+			Blockage:    &DefaultBlockage,
 		},
 		"driving-blockage": {
 			CarrierFreqMHz: 28000,

@@ -126,24 +126,29 @@ func Fig19(o Options) ([]Fig19Point, error) {
 		}, nil
 	}
 
-	var out []Fig19Point
-	// (a) standard ladder, walking, both technologies.
-	for _, acr := range []string{midBandAcr, mmWaveAcr} {
-		p, err := play(acr, "walking", video.Ladder400, "400Mbps", 83)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
+	// (a) standard ladder, walking, both technologies; (b) scaled-up
+	// ladder, mmWave walking and driving. Each play is an independent arm
+	// seeded by its own offset and rep, so the fan-out leaves every row
+	// and their order unchanged.
+	type arm struct {
+		acr, mob, ladderName string
+		ladder               video.Ladder
+		seedOff              int64
 	}
-	// (b) scaled-up ladder, mmWave walking and driving.
-	for _, mob := range []string{"walking", "driving"} {
-		p, err := play(mmWaveAcr, mob, video.LadderMmWave, "1.25Gbps", 89)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
+	arms := []arm{
+		{midBandAcr, "walking", "400Mbps", video.Ladder400, 83},
+		{mmWaveAcr, "walking", "400Mbps", video.Ladder400, 83},
+		{mmWaveAcr, "walking", "1.25Gbps", video.LadderMmWave, 89},
+		{mmWaveAcr, "driving", "1.25Gbps", video.LadderMmWave, 89},
 	}
-	return out, nil
+	keys := make([]string, len(arms))
+	for i, a := range arms {
+		keys[i] = a.acr + "/" + a.mob + "/" + a.ladderName
+	}
+	return runArms(o, keys, func(i int) (Fig19Point, error) {
+		a := arms[i]
+		return play(a.acr, a.mob, a.ladder, a.ladderName, a.seedOff)
+	})
 }
 
 // Sec7Aggregate reproduces the §7 headline numbers: aggregate throughput of

@@ -36,3 +36,17 @@ func TestExtABRComparisonParallelDeterminism(t *testing.T) {
 		t.Errorf("ABR comparison diverges:\nworkers=1: %+v\nworkers=8: %+v", serial, parallel)
 	}
 }
+
+func TestFig19ParallelDeterminism(t *testing.T) {
+	serial, err := Fig19(Options{Quick: true, Seed: 11, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := Fig19(Options{Quick: true, Seed: 11, Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("Fig19 diverges:\nworkers=1: %+v\nworkers=8: %+v", serial, parallel)
+	}
+}

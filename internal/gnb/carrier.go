@@ -474,6 +474,12 @@ func (c *Carrier) Step(dl, ul Demand) SlotResult {
 // the per-slot conversion without touching any random stream.
 func (c *Carrier) SetRSRQNeeded(needed bool) { c.ch.SetRSRQNeeded(needed) }
 
+// ShareSiteScan makes c's channel reuse other's per-slot site scan when
+// the two are co-sited (see channel.Channel.ShareSiteScan) and reports
+// whether it did. Carriers that share a scan must be stepped from one
+// goroutine.
+func (c *Carrier) ShareSiteScan(other *Carrier) bool { return c.ch.ShareSiteScan(other.ch) }
+
 // StepInto is Step writing the result in place: the link's slot loop owns
 // per-carrier result storage, and threading it down here keeps the
 // ~100-byte SlotResult from being copied at every layer boundary. All

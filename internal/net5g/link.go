@@ -39,7 +39,9 @@ func (c LinkConfig) Validate() error {
 	return nil
 }
 
-// Link is the end-to-end simulator. Not safe for concurrent use.
+// Link is the end-to-end simulator. Not safe for concurrent use, and its
+// carriers may share per-slot state (see gnb.Carrier.ShareSiteScan), so
+// they must not be stepped from different goroutines either.
 type Link struct {
 	cfg      LinkConfig
 	carriers []*gnb.Carrier
@@ -72,6 +74,15 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 			return nil, fmt.Errorf("net5g: carrier %d: %w", i, err)
 		}
 		l.carriers = append(l.carriers, c)
+	}
+	// Co-sited NR carriers on the UE's route scan the sites once per
+	// slot: each joins the first earlier carrier it can share with.
+	for i, c := range l.carriers {
+		for _, prev := range l.carriers[:i] {
+			if c.ShareSiteScan(prev) {
+				break
+			}
+		}
 	}
 	if cfg.LTEAnchor != nil {
 		a, err := lte.NewAnchor(*cfg.LTEAnchor)
