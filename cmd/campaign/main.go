@@ -35,7 +35,9 @@
 // runs as one cell with N contending UEs under -cell-policy (pf, rr, mt
 // or eq), reporting per-UE goodput shares and Jain fairness. The default
 // (1) is byte-identical to the legacy single-UE campaign, including the
-// manifest's config digest.
+// manifest's config digest. -cell-policy without -ues-per-cell above 1
+// is rejected, as is any positional argument: flag parsing stops at the
+// first one, so the flags after it would be silently ignored.
 //
 // Scenarios: -scenario runs a declarative scenario instead of the
 // flag-driven bulk campaign — a shipped pack name (see `scenario list`)
@@ -109,13 +111,8 @@ func main() {
 	if *traceFormat != "xcal" && *traceFormat != "xcol" {
 		log.Fatalf("unknown -trace-format %q (want xcal or xcol)", *traceFormat)
 	}
-	if *scenarioArg != "" {
-		if conflicts := conflictingFlags(flag.Visit); len(conflicts) > 0 {
-			log.Fatalf("-scenario provides the workload; the spec's traffic/band_plan/population/faults/sessions sections own %s — drop the flag(s) or edit the spec",
-				strings.Join(conflicts, ", "))
-		}
-	} else if *quick {
-		log.Fatal("-quick only applies to -scenario runs")
+	if err := usageError(flag.Args(), flag.Visit, *scenarioArg != "", *quick, *uesPerCell); err != nil {
+		log.Fatal(err)
 	}
 
 	stopProf, err := obs.StartProfiles(*cpuProfile, *memProfile)
@@ -270,6 +267,32 @@ func main() {
 	report.Table1(os.Stdout, stats)
 	report.MultiUE(os.Stdout, stats.MultiUE)
 	fmt.Printf("\n%d traces written to %s (manifest: %s)\n", stats.TraceFiles, *out, manifestPath)
+}
+
+// usageError rejects command lines that would run with part of their
+// input silently ignored. args are the positional arguments flag
+// parsing left over (it stops at the first one, so every flag after it
+// would be dropped); visit iterates over the flags set explicitly.
+func usageError(args []string, visit func(func(*flag.Flag)), scenario, quick bool, uesPerCell int) error {
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected argument(s) %q: flag parsing stops at the first non-flag argument, so the rest of the command line would be ignored (list -ops comma-separated)", args)
+	}
+	if scenario {
+		if conflicts := conflictingFlags(visit); len(conflicts) > 0 {
+			return fmt.Errorf("-scenario provides the workload; the spec's traffic/band_plan/population/faults/sessions sections own %s — drop the flag(s) or edit the spec",
+				strings.Join(conflicts, ", "))
+		}
+		return nil
+	}
+	if quick {
+		return fmt.Errorf("-quick only applies to -scenario runs")
+	}
+	policySet := false
+	visit(func(f *flag.Flag) { policySet = policySet || f.Name == "cell-policy" })
+	if policySet && uesPerCell <= 1 {
+		return fmt.Errorf("-cell-policy only applies with -ues-per-cell above 1 (got %d)", uesPerCell)
+	}
+	return nil
 }
 
 // scenarioConflictFlags are the workload-shaping flags a -scenario spec

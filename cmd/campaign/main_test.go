@@ -50,6 +50,45 @@ func TestConflictingFlags(t *testing.T) {
 	}
 }
 
+// usageError rejects command lines that would run with input silently
+// ignored, naming what it rejects, and accepts the valid combinations.
+func TestUsageError(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string // substring of the error; "" means accepted
+	}{
+		{nil, ""},
+		{[]string{"-ops", "V_Sp,Tmb_US", "-seed", "7"}, ""},
+		{[]string{"-ops", "Vzw_mmW", "Tmb_US", "-seed", "7"}, `["Tmb_US" "-seed" "7"]`},
+		{[]string{"-quick"}, "-quick only applies to -scenario runs"},
+		{[]string{"-scenario", "voip", "-quick", "-seed", "3"}, ""},
+		{[]string{"-scenario", "voip", "-ops", "V_Sp"}, "own -ops"},
+		{[]string{"-cell-policy", "rr"}, "-cell-policy only applies with -ues-per-cell above 1 (got 1)"},
+		{[]string{"-ues-per-cell", "1", "-cell-policy", "pf"}, "(got 1)"},
+		{[]string{"-ues-per-cell", "4", "-cell-policy", "rr"}, ""},
+		{[]string{"-ues-per-cell", "4"}, ""},
+	}
+	for _, c := range cases {
+		fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
+		fs.String("ops", "", "")
+		fs.Int64("seed", 2024, "")
+		fs.String("cell-policy", "pf", "")
+		uesPerCell := fs.Int("ues-per-cell", 1, "")
+		scenarioArg := fs.String("scenario", "", "")
+		quick := fs.Bool("quick", false, "")
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatalf("parse %v: %v", c.args, err)
+		}
+		err := usageError(fs.Args(), fs.Visit, *scenarioArg != "", *quick, *uesPerCell)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("usageError(%v) = %v, want accepted", c.args, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("usageError(%v) = %v, want an error containing %s", c.args, err, c.want)
+		}
+	}
+}
+
 // loadScenario resolves pack names before file paths, and its failure
 // message lists the shipped packs — the user's menu.
 func TestLoadScenario(t *testing.T) {

@@ -55,6 +55,10 @@ type options struct {
 	cpuProfile string
 	memProfile string
 	faults     string
+	// args are the positional arguments left after the flags. Flag
+	// parsing stops at the first one, so any is an error: the flags
+	// after it would be silently dropped.
+	args []string
 }
 
 func main() {
@@ -72,6 +76,7 @@ func main() {
 	flag.StringVar(&opt.memProfile, "memprofile", "", "write a heap profile at exit to this file")
 	flag.StringVar(&opt.faults, "faults", "", "fault-injection spec for campaign-based figures, e.g. rlf=2e-4,abort=0.05,seed=7 (empty disables)")
 	flag.Parse()
+	opt.args = flag.Args()
 	stopProf, err := obs.StartProfiles(opt.cpuProfile, opt.memProfile)
 	if err != nil {
 		log.Fatal(err)
@@ -100,6 +105,9 @@ type manifestConfig struct {
 // run regenerates the selected figures, streaming progress to stderr and
 // the rendered tables — in deterministic figure order — to stdout.
 func run(opt options, stdout, stderr io.Writer) error {
+	if len(opt.args) > 0 {
+		return fmt.Errorf("unexpected argument(s) %q: flag parsing stops at the first non-flag argument, so the rest of the command line would be ignored (list -only keys comma-separated)", opt.args)
+	}
 	sched, err := fault.ParseSpec(opt.faults)
 	if err != nil {
 		return err

@@ -137,6 +137,23 @@ func TestRunRejectsUnknownOnlyKey(t *testing.T) {
 	}
 }
 
+// Positional arguments are an error that names them: flag parsing stops
+// at the first one, so `-only table1 stray -seed 9` would otherwise run
+// with the default seed.
+func TestRunRejectsStrayArguments(t *testing.T) {
+	var out bytes.Buffer
+	err := run(options{quick: true, seed: 2024, only: "table1", parallel: 1, args: []string{"stray", "-seed", "9"}}, &out, io.Discard)
+	if err == nil {
+		t.Fatal("stray arguments accepted")
+	}
+	if !strings.Contains(err.Error(), `["stray" "-seed" "9"]`) {
+		t.Errorf("error %q does not name the stray arguments", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("rejected run wrote %d bytes of output", out.Len())
+	}
+}
+
 // TestExtDMatchesCommittedOutput pins the share-model cell figure: a
 // full-fidelity extd regeneration must reproduce the "Ext D" section of
 // the committed figures_output.txt byte-for-byte.

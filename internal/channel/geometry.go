@@ -9,6 +9,8 @@ package channel
 import (
 	"fmt"
 	"math"
+
+	"github.com/midband5g/midband/internal/fmath"
 )
 
 // Point is a 2D position in meters.
@@ -136,7 +138,7 @@ func (d Deployment) strongestSite(p Point, fcMHz float64, powers []float64) (idx
 	}
 	for i, rx := range powers {
 		if i != idx {
-			interfMW += math.Pow(10, rx/10)
+			interfMW += fmath.Pow10(rx / 10)
 		}
 	}
 	return idx, best, interfMW

@@ -103,6 +103,7 @@ func TestPolicy(t *testing.T) {
 		"github.com/midband5g/midband/internal/channel":                                                      true,
 		"github.com/midband5g/midband/internal/gnb":                                                          true,
 		"github.com/midband5g/midband/internal/core":                                                         true,
+		"github.com/midband5g/midband/internal/fmath":                                                        true,
 		"github.com/midband5g/midband/internal/obs":                                                          false,
 		"github.com/midband5g/midband/internal/fleet":                                                        false,
 		"github.com/midband5g/midband/internal/detlint":                                                      false,

@@ -27,6 +27,7 @@ var simCore = map[string]bool{
 	"iperf":     true,
 	"transport": true,
 	"fault":     true,
+	"fmath":     true,
 }
 
 // internalSegments splits a package path at its "internal" element and

@@ -4,7 +4,11 @@
 // dBm−dBm link-budget idioms are not.
 package unitflow
 
-import "math"
+import (
+	"math"
+
+	"sim/internal/fmath"
+)
 
 // Sample mirrors the channel KPI struct: units live in field names.
 type Sample struct {
@@ -45,6 +49,16 @@ func BadArg(scskHz float64) int {
 // BadDouble converts an already-linear power a second time.
 func BadDouble(noiseMW float64) float64 {
 	return math.Pow(10, noiseMW/10) // want "unitflow: 10\^\(x/10\) applied to a mW value"
+}
+
+// BadDoubleKernel is BadDouble through the bit-exact Pow10 kernel.
+func BadDoubleKernel(noiseMW float64) float64 {
+	return fmath.Pow10(noiseMW / 10) // want "unitflow: 10\^\(x/10\) applied to a mW value"
+}
+
+// BadFieldKernel stores the kernel's linear result in a dBm field.
+func BadFieldKernel(aDBm float64) Sample {
+	return Sample{RSRPdBm: fmath.Pow10(aDBm / 10)} // want "unitflow: field RSRPdBm is dBm but its value is mW"
 }
 
 // BadLog takes the log of a value already in the log domain.
@@ -100,6 +114,13 @@ func GoodDelta(sigDBm, noiseDBm float64) float64 {
 // each conversion applied exactly once.
 func GoodRoundTrip(aDBm, bDBm float64) float64 {
 	sumMW := math.Pow(10, aDBm/10) + math.Pow(10, bDBm/10)
+	return 10 * math.Log10(sumMW)
+}
+
+// GoodRoundTripKernel is GoodRoundTrip through the bit-exact Pow10
+// kernel.
+func GoodRoundTripKernel(aDBm, bDBm float64) float64 {
+	sumMW := fmath.Pow10(aDBm/10) + fmath.Pow10(bDBm/10)
 	return 10 * math.Log10(sumMW)
 }
 

@@ -393,13 +393,21 @@ func (e *unitEnv) unitOfCall(call *ast.CallExpr) unit {
 	return unitUnknown
 }
 
-// pow1010Arg matches math.Pow(10, x/10) and math.Pow(10, x/20) and
-// returns the numerator x, or nil when the call is not that idiom.
+// pow1010Arg matches math.Pow(10, x/10) and math.Pow(10, x/20), and
+// the same two forms through the bit-exact kernel, fmath.Pow10(x/10)
+// and fmath.Pow10(x/20). It returns the numerator x, or nil when the
+// call is not that idiom.
 func pow1010Arg(info *types.Info, call *ast.CallExpr) ast.Expr {
-	if !isMathCall(info, call, "Pow") || len(call.Args) != 2 || !isConstTen(info, call.Args[0]) {
+	var y ast.Expr
+	switch {
+	case isMathCall(info, call, "Pow") && len(call.Args) == 2 && isConstTen(info, call.Args[0]):
+		y = call.Args[1]
+	case isFmathPow10(info, call) && len(call.Args) == 1:
+		y = call.Args[0]
+	default:
 		return nil
 	}
-	q, ok := unparen(call.Args[1]).(*ast.BinaryExpr)
+	q, ok := unparen(y).(*ast.BinaryExpr)
 	if !ok || q.Op != token.QUO {
 		return nil
 	}
@@ -416,6 +424,17 @@ func isMathCall(info *types.Info, call *ast.CallExpr, name string) bool {
 		return false
 	}
 	return pkgPathOf(info, sel.X) == "math"
+}
+
+// isFmathPow10 reports whether call invokes Pow10 of the module's
+// internal/fmath package.
+func isFmathPow10(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Pow10" {
+		return false
+	}
+	segs := internalSegments(pkgPathOf(info, sel.X))
+	return len(segs) == 1 && segs[0] == "fmath"
 }
 
 // calleeFunc resolves the called function or method, or nil.

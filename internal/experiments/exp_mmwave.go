@@ -101,6 +101,9 @@ func Fig19(o Options) ([]Fig19Point, error) {
 			if err != nil {
 				return Fig19Point{}, err
 			}
+			// video.Play reads no RSRQ; skipping it leaves every other
+			// sample bit-identical.
+			link.SetRSRQNeeded(false)
 			for i := 0; i < 2000; i++ {
 				link.Step(net5g.Demand{DL: true})
 			}

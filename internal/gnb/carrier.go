@@ -15,6 +15,7 @@ import (
 	"github.com/midband5g/midband/internal/channel"
 	"github.com/midband5g/midband/internal/fault"
 	"github.com/midband5g/midband/internal/fleet"
+	"github.com/midband5g/midband/internal/fmath"
 	"github.com/midband5g/midband/internal/obs"
 	"github.com/midband5g/midband/internal/phy"
 	"github.com/midband5g/midband/internal/tdd"
@@ -259,9 +260,9 @@ func newAMCDerived(csiCfg ue.CSIConfig, cfg CarrierConfig) amcDerived {
 		a.layerPenaltyDB[r] = 10 * exp * math.Log10(float64(r))
 		a.rankPow[r] = math.Pow(float64(r), exp)
 	}
-	a.optimismLin = math.Pow(10, csiCfg.CQIOptimismDB/10)
-	a.ulDerateLin = math.Pow(10, -cfg.ULSINROffsetDB/10)
-	a.ulBackoffLin = math.Pow(10, -ulBackoffDB/10)
+	a.optimismLin = fmath.Pow10(csiCfg.CQIOptimismDB / 10)
+	a.ulDerateLin = fmath.Pow10(-cfg.ULSINROffsetDB / 10)
+	a.ulBackoffLin = fmath.Pow10(-ulBackoffDB / 10)
 	return a
 }
 
@@ -617,7 +618,7 @@ func (c *Carrier) transmit(store *Alloc, queue *[]harqJob, slot int64, symbols i
 //
 //detlint:zeroalloc
 func (c *Carrier) ollaPow() float64 {
-	return math.Pow(10, c.ollaDB/10)
+	return fmath.Pow10(c.ollaDB / 10)
 }
 
 // newTB builds a fresh transport block from the CSI in effect.

@@ -8,6 +8,7 @@ import (
 
 	"github.com/midband5g/midband/internal/channel"
 	"github.com/midband5g/midband/internal/fleet"
+	"github.com/midband5g/midband/internal/fmath"
 	"github.com/midband5g/midband/internal/obs"
 	"github.com/midband5g/midband/internal/phy"
 	"github.com/midband5g/midband/internal/ue"
@@ -212,6 +213,9 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gnb: cell UE %d: %w", i, err)
 		}
+		// The cell reads only SINR and outage, on both Step and the
+		// batch fallback lanes.
+		ch.SetRSRQNeeded(false)
 		csiCfg := cfg.Carrier.CSI
 		csiCfg.Seed = fleet.SplitSeed(cfg.Seed, "gnb/cell/csi", i)
 		csi, err := ue.NewCSI(csiCfg)
@@ -448,7 +452,7 @@ func (c *Cell) updatePFWindow(allocs []UEAlloc) {
 //
 //detlint:zeroalloc
 func (c *Cell) ollaPow(i int) float64 {
-	return math.Pow(10, c.olla[i]/10)
+	return fmath.Pow10(c.olla[i] / 10)
 }
 
 func (c *Cell) dlSymbols(slot int64) int {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 
+	"github.com/midband5g/midband/internal/fmath"
 	"github.com/midband5g/midband/internal/obs"
 	"github.com/midband5g/midband/internal/phy"
 )
@@ -181,7 +182,7 @@ func (c *CSI) Observe(slot int64, sinrDB float64) {
 	}
 	rank := c.rankFor(sinrDB)
 	c.lastRank = rank
-	perLayer := math.Pow(10, (sinrDB+c.cfg.CQIOptimismDB)/10) /
+	perLayer := fmath.Pow10((sinrDB+c.cfg.CQIOptimismDB)/10) /
 		math.Pow(float64(rank), c.cfg.LayerPenaltyExp)
 	se := math.Log2(1 + perLayer)
 	cqi := c.cfg.Table.CQIFromEfficiency(se)

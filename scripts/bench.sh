@@ -15,15 +15,16 @@
 # reporting ns/UE-slot), the aggregated link step, the columnar
 # trace pipeline (block encode on the write side, projected block
 # decode on the scan side, reporting ns/record), and one Quick-scale
-# scenario pack end to end (the scenario-runner smoke). Use -count via
-# BENCH_COUNT (default 5) — best-of-N repeated runs is what makes the
-# 10% gate usable on noisy machines.
+# scenario pack end to end (the scenario-runner smoke), plus the
+# bit-exact Pow10 kernel those paths convert dB to linear with. Use
+# -count via BENCH_COUNT (default 5) — best-of-N repeated runs is what
+# makes the 10% gate usable on noisy machines.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 COUNT="${BENCH_COUNT:-5}"
-FILTER='BenchmarkChannelStep|BenchmarkTBS$|BenchmarkTBSCached|BenchmarkCarrierStep|BenchmarkCellMultiUE|BenchmarkLinkStep|BenchmarkBlockScan|BenchmarkBlockWrite|BenchmarkScenarioCampaign'
-PKGS="./internal/channel ./internal/phy ./internal/gnb ./internal/xcol ./internal/scenario ."
+FILTER='BenchmarkChannelStep|BenchmarkTBS$|BenchmarkTBSCached|BenchmarkCarrierStep|BenchmarkCellMultiUE|BenchmarkLinkStep|BenchmarkBlockScan|BenchmarkBlockWrite|BenchmarkScenarioCampaign|BenchmarkPow10'
+PKGS="./internal/channel ./internal/phy ./internal/gnb ./internal/xcol ./internal/scenario ./internal/fmath ."
 
 run_bench() {
     # -benchtime keeps a 5x run under ~2 minutes while giving stable numbers.
