@@ -138,10 +138,11 @@ type CampaignStats struct {
 	MultiUE []MultiUEReport
 }
 
-// sessionOutcome is what one fleet job (one operator session) produces.
+// sessionOutcome is what one fleet job (one operator session) produces:
+// the session averages, never the per-slot series.
 type sessionOutcome struct {
-	res       *iperf.Result
-	tracePath string
+	dl, ul, nrUL, lteUL float64
+	tracePath           string
 	// clean/retx are the mean latencies, measured on the primary
 	// (session-index-0) job only, like the serial campaign did.
 	clean, retx time.Duration
@@ -186,11 +187,13 @@ func traceExt(format string) string {
 // failed campaign leaves no half-written captures behind. A non-nil
 // fault session threads injectors into the link, may shorten the
 // transfer to an abort point, and may wrap the trace sink with
-// write-error injection.
-func runSession(op operators.Operator, sc operators.Scenario, d time.Duration, format, tracePath string, m *fleet.Metrics, fs *fault.Session) (*Session, *iperf.Result, error) {
+// write-error injection. The session runs with iperf's Discard set, so
+// the result holds only the session averages and the returned slot count
+// is the number of slots the run stepped.
+func runSession(op operators.Operator, sc operators.Scenario, d time.Duration, format, tracePath string, m *fleet.Metrics, fs *fault.Session) (*Session, *iperf.Result, int64, error) {
 	sess, err := NewSessionWithFaults(op, sc, fs)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: %s: %w", op.Acronym, err)
+		return nil, nil, 0, fmt.Errorf("core: %s: %w", op.Acronym, err)
 	}
 	aborted := fs != nil && fs.Abort
 	if aborted {
@@ -204,10 +207,10 @@ func runSession(op operators.Operator, sc operators.Scenario, d time.Duration, f
 	if tracePath != "" {
 		w, f, err = openTrace(format, tracePath, sess.Meta(), fs)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: creating trace: %w", err)
+			return nil, nil, 0, fmt.Errorf("core: creating trace: %w", err)
 		}
 	}
-	res, err := sess.RunIperf(d, net5g.Saturate, w)
+	res, err := sess.runIperf(d, net5g.Saturate, w, true)
 	if err == nil && aborted {
 		err = fleet.Permanent(fault.ErrSessionAborted)
 		if obs.Enabled() {
@@ -235,12 +238,13 @@ func runSession(op operators.Operator, sc operators.Scenario, d time.Duration, f
 		if errors.Is(err, fault.ErrInjectedIO) && obs.Enabled() {
 			obs.Sim.InjectedTraceErrors.Inc()
 		}
-		return nil, nil, fmt.Errorf("core: %s: %w", op.Acronym, err)
+		return nil, nil, 0, fmt.Errorf("core: %s: %w", op.Acronym, err)
 	}
+	slots := int64(d / res.SlotDuration) // iperf.Run's step count
 	if m != nil {
-		m.SlotsSimulated.Add(int64(len(res.DLBitsPerSlot)))
+		m.SlotsSimulated.Add(slots)
 	}
-	return sess, res, nil
+	return sess, res, slots, nil
 }
 
 // FailureStage classifies a session error into the provenance category
@@ -320,7 +324,7 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignStats
 					if obs.Enabled() {
 						t0 = time.Now() //detlint:allow walltime per-session wall-cost metric behind the obs gate
 					}
-					sess, res, err := runSession(op, operators.Stationary(seed), cfg.SessionDuration, cfg.TraceFormat, path, cfg.Metrics, fs)
+					sess, res, slots, err := runSession(op, operators.Stationary(seed), cfg.SessionDuration, cfg.TraceFormat, path, cfg.Metrics, fs)
 					if err != nil {
 						return sessionOutcome{}, err
 					}
@@ -329,13 +333,16 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignStats
 					// write-only here, so obs-on and obs-off campaigns
 					// aggregate byte-identically.
 					if obs.Enabled() {
-						if n := len(res.DLBitsPerSlot); n > 0 {
-							obs.Sim.SlotLatencyNs.Observe(float64(time.Since(t0).Nanoseconds()) / float64(n)) //detlint:allow walltime write-only metric; aggregates never depend on it
+						if slots > 0 {
+							obs.Sim.SlotLatencyNs.Observe(float64(time.Since(t0).Nanoseconds()) / float64(slots)) //detlint:allow walltime write-only metric; aggregates never depend on it
 						}
 						obs.Sim.SessionGoodputMbps.Observe(res.DLMbps)
 						obs.GoodputMbps(op.Acronym).Observe(res.DLMbps)
 					}
-					out := sessionOutcome{res: res, tracePath: path}
+					out := sessionOutcome{
+						dl: res.DLMbps, ul: res.ULMbps, nrUL: res.NRULMbps, lteUL: res.LTEULMbps,
+						tracePath: path,
+					}
 					if k == 0 {
 						// The primary session also probes §4.3 latency.
 						clean, retx, err := sess.RunLatency(cfg.LatencyProbes, 0.08)
@@ -415,17 +422,17 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignStats
 			if k == 0 {
 				primary = &r.Value
 			}
-			dl += o.res.DLMbps
-			ul += o.res.ULMbps
-			nrUL += o.res.NRULMbps
-			lteUL += o.res.LTEULMbps
+			dl += o.dl
+			ul += o.ul
+			nrUL += o.nrUL
+			lteUL += o.lteUL
 			nOK++
 			if k > 0 {
 				// Extra sessions at fresh channel realizations (§2:
 				// experiments repeat across time periods; single windows
 				// are congestion-episode lottery).
 				stats.Minutes += cfg.SessionDuration.Minutes()
-				stats.DataTB += (o.res.DLMbps + o.res.ULMbps) * 1e6 / 8 * cfg.SessionDuration.Seconds() / 1e12
+				stats.DataTB += (o.dl + o.ul) * 1e6 / 8 * cfg.SessionDuration.Seconds() / 1e12
 			}
 		}
 		rep := SessionReport{

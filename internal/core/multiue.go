@@ -139,7 +139,8 @@ func RunMultiUEContext(ctx context.Context, cfg MultiUEConfig) ([]MultiUEReport,
 				slots := make([]int64, n)
 				for s := 0; s < steps; s++ {
 					r := cell.Step()
-					for _, a := range r.Allocs {
+					for i := range r.Allocs {
+						a := &r.Allocs[i]
 						bits[a.UE] += float64(a.Alloc.DeliveredBits)
 						slots[a.UE]++
 					}

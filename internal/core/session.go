@@ -143,6 +143,12 @@ func (s *Session) WarmUp() error {
 // columnar xcol.Writer. Pass a nil interface (not a typed nil) to skip
 // capture.
 func (s *Session) RunIperf(d time.Duration, demand net5g.Demand, w xcal.TraceWriter) (*iperf.Result, error) {
+	return s.runIperf(d, demand, w, false)
+}
+
+// runIperf is RunIperf with iperf's Discard switch: a discarding run
+// streams the same capture but returns only the session averages.
+func (s *Session) runIperf(d time.Duration, demand net5g.Demand, w xcal.TraceWriter, discard bool) (*iperf.Result, error) {
 	if err := s.WarmUp(); err != nil {
 		return nil, err
 	}
@@ -152,6 +158,8 @@ func (s *Session) RunIperf(d time.Duration, demand net5g.Demand, w xcal.TraceWri
 	// conversion. The hint draws no randomness: every SINR sample, CQI
 	// report and scheduling decision is bit-identical either way.
 	s.Link.SetRSRQNeeded(w != nil)
+	cfg := iperf.Config{Duration: d, Demand: demand, Discard: discard}
+	var dcis *dciSampler
 	if w != nil {
 		mib, sibs, err := s.Signaling()
 		if err != nil {
@@ -165,56 +173,56 @@ func (s *Session) RunIperf(d time.Duration, demand net5g.Demand, w xcal.TraceWri
 				return nil, err
 			}
 		}
-	}
-	cfg := iperf.Config{Duration: d, Demand: demand, Trace: w}
-	if w != nil {
-		cfg.KeepRecords = true
+		dcis = &dciSampler{TraceWriter: w}
+		cfg.Trace = dcis
 	}
 	res, err := iperf.Run(s.Link, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if w != nil {
-		if err := writeDCISamples(w, res.Records); err != nil {
-			return nil, err
+	if dcis != nil {
+		for i := range dcis.kept {
+			if err := w.WriteDCI(&dcis.kept[i]); err != nil {
+				return nil, err
+			}
 		}
-		res.Records = nil // retained only for DCI synthesis
 	}
 	return res, nil
 }
 
-// writeDCISamples emits one DCI frame per captured DL allocation record,
-// subsampled to keep traces compact.
-func writeDCISamples(w xcal.TraceWriter, recs []xcal.SlotKPI) error {
-	const every = 16
-	n := 0
-	for i := range recs {
-		r := &recs[i]
-		if r.Dir != xcal.DL || r.RAT != xcal.NR || r.TBSBits == 0 {
-			continue
-		}
-		n++
-		if n%every != 0 {
-			continue
-		}
-		format := xcal.DCI10
-		if r.MCSTable == 2 {
-			format = xcal.DCI11
-		}
-		dci := xcal.DCI{
-			Slot:    r.Slot,
-			Format:  format,
-			Carrier: r.Carrier,
-			MCS:     r.MCS,
-			RBs:     r.RBs,
-			Rank:    r.Rank,
-			NDI:     r.HARQRetx == 0,
-		}
-		if err := w.WriteDCI(&dci); err != nil {
-			return err
+// dciEvery subsamples the DCI frames of a capture to keep traces compact.
+const dciEvery = 16
+
+// dciSampler passes every KPI record through to the trace and keeps one
+// DCI frame per dciEvery DL NR records that carry a transport block. The
+// session writes the kept frames after the run, so no copy of the KPI
+// records outlives its slot.
+type dciSampler struct {
+	xcal.TraceWriter
+	n    int
+	kept []xcal.DCI
+}
+
+func (t *dciSampler) WriteKPI(r *xcal.SlotKPI) error {
+	if r.Dir == xcal.DL && r.RAT == xcal.NR && r.TBSBits != 0 {
+		t.n++
+		if t.n%dciEvery == 0 {
+			format := xcal.DCI10
+			if r.MCSTable == 2 {
+				format = xcal.DCI11
+			}
+			t.kept = append(t.kept, xcal.DCI{
+				Slot:    r.Slot,
+				Format:  format,
+				Carrier: r.Carrier,
+				MCS:     r.MCS,
+				RBs:     r.RBs,
+				Rank:    r.Rank,
+				NDI:     r.HARQRetx == 0,
+			})
 		}
 	}
-	return nil
+	return t.TraceWriter.WriteKPI(r)
 }
 
 // RunLatency draws user-plane latency probes using the operator's §4.3

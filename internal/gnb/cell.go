@@ -436,8 +436,8 @@ func (c *Cell) updatePFWindow(allocs []UEAlloc) {
 	for i := range servedNow {
 		servedNow[i] = 0
 	}
-	for _, a := range allocs {
-		servedNow[a.UE] = float64(a.Alloc.DeliveredBits)
+	for i := range allocs {
+		servedNow[allocs[i].UE] = float64(allocs[i].Alloc.DeliveredBits)
 	}
 	served := c.served
 	for i := range served {
@@ -465,7 +465,7 @@ func (c *Cell) dlSymbols(slot int64) int {
 //
 //detlint:zeroalloc
 func (c *Cell) transmitUE(idx, symbols int, frac float64) (Alloc, bool) {
-	cfg := c.cfg.Carrier
+	cfg := &c.cfg.Carrier
 	u := c.ues[idx]
 	rank := c.ri[idx]
 	row, err := c.csiCfg.Table.Lookup(c.cqi[idx])

@@ -239,8 +239,8 @@ func (c *Cell) contend(slot int64) ([]UEAlloc, bool) {
 	// neighbor activity factor. Real co-UEs thus replace the statistical
 	// NeighborLoad: a saturated cell sees saturated neighbors.
 	granted := 0
-	for _, a := range allocs {
-		granted += a.Alloc.RBs
+	for i := range allocs {
+		granted += allocs[i].Alloc.RBs
 	}
 	util := float64(granted) / float64(c.cfg.Carrier.NRB)
 	c.loadEMA += (util - c.loadEMA) / loadEMAWindow
@@ -257,7 +257,7 @@ func (c *Cell) contend(slot int64) ([]UEAlloc, bool) {
 //
 //detlint:zeroalloc
 func (c *Cell) newContentionTB(slot int64, idx, symbols, rbs int) (harqJob, bool) {
-	cfg := c.cfg.Carrier
+	cfg := &c.cfg.Carrier
 	u := c.ues[idx]
 	rank := c.ri[idx]
 	row, err := c.csiCfg.Table.Lookup(c.cqi[idx])
@@ -308,7 +308,7 @@ func (c *Cell) newContentionTB(slot int64, idx, symbols, rbs int) (harqJob, bool
 //
 //detlint:zeroalloc
 func (c *Cell) deliver(slot int64, idx int, job harqJob, sinrDB float64) (Alloc, bool) {
-	cfg := c.cfg.Carrier
+	cfg := &c.cfg.Carrier
 	u := c.ues[idx]
 	perLayer := sinrDB - c.amc.layerPenalty(c.csiCfg.LayerPenaltyExp, job.rank)
 	perLayer += harqCombineGainDB * float64(job.retx)

@@ -2,6 +2,11 @@
 // 5G link, mirroring the paper's iPerf3 measurement sessions (§2). It
 // collects the slot-level KPI series that every throughput figure (Figs.
 // 1–6, 9, 10, 12–14) is computed from.
+//
+// A run can also stream its KPI records to a trace (Config.Trace) without
+// holding any per-slot series: with Config.Discard set as well, the
+// result carries only the session averages, and the trace bytes are the
+// same as a collecting run's.
 package iperf
 
 import (
@@ -29,8 +34,10 @@ type Config struct {
 	// Discard skips collecting the per-slot series, leaving only the
 	// session-average throughputs in the result. Warm-up traffic whose
 	// result is thrown away uses this to keep the slot loop free of
-	// series appends; the simulation itself is unaffected — every slot
-	// is stepped identically either way.
+	// series appends, and campaign sessions use it with Trace so their
+	// memory stays flat in the session length; the simulation itself is
+	// unaffected — every slot is stepped and traced identically either
+	// way. Discard conflicts with KeepRecords.
 	Discard bool
 }
 
@@ -68,8 +75,8 @@ func Run(link *net5g.Link, cfg Config) (*Result, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("iperf: duration %v invalid", cfg.Duration)
 	}
-	if cfg.Discard && (cfg.Trace != nil || cfg.KeepRecords) {
-		return nil, fmt.Errorf("iperf: Discard conflicts with Trace/KeepRecords")
+	if cfg.Discard && cfg.KeepRecords {
+		return nil, fmt.Errorf("iperf: Discard conflicts with KeepRecords")
 	}
 	demand := cfg.Demand
 	if !demand.DL && !demand.UL {
@@ -114,41 +121,40 @@ func Run(link *net5g.Link, cfg Config) (*Result, error) {
 		ulBits += float64(r.ULBits)
 		nrUL += float64(r.NRULBits)
 		lteUL += float64(r.LTEULBits)
-		if cfg.Discard {
-			continue
-		}
-		res.DLBitsPerSlot = append(res.DLBitsPerSlot, float64(r.DLBits))
-		res.ULBitsPerSlot = append(res.ULBitsPerSlot, float64(r.ULBits))
+		if !cfg.Discard {
+			res.DLBitsPerSlot = append(res.DLBitsPerSlot, float64(r.DLBits))
+			res.ULBitsPerSlot = append(res.ULBitsPerSlot, float64(r.ULBits))
 
-		pc := &r.NR[0]
-		res.SINRdB = append(res.SINRdB, pc.Sample.SINRdB)
-		res.RSRQdB = append(res.RSRQdB, pc.Sample.RSRQdB)
-		res.CQI = append(res.CQI, float64(pc.CQI))
-		if pc.DL != nil {
-			res.MCS = append(res.MCS, float64(pc.DL.MCS))
-			res.Rank = append(res.Rank, float64(pc.DL.Rank))
-			res.RBs = append(res.RBs, float64(pc.DL.RBs))
-			res.REs = append(res.REs, float64(pc.DL.REs))
-			mod := pc.DL.Modulation()
-			res.ModOrder = append(res.ModOrder, float64(mod))
-			if mod == 8 {
-				res.Mod256 = append(res.Mod256, 1)
+			pc := &r.NR[0]
+			res.SINRdB = append(res.SINRdB, pc.Sample.SINRdB)
+			res.RSRQdB = append(res.RSRQdB, pc.Sample.RSRQdB)
+			res.CQI = append(res.CQI, float64(pc.CQI))
+			if pc.DL != nil {
+				res.MCS = append(res.MCS, float64(pc.DL.MCS))
+				res.Rank = append(res.Rank, float64(pc.DL.Rank))
+				res.RBs = append(res.RBs, float64(pc.DL.RBs))
+				res.REs = append(res.REs, float64(pc.DL.REs))
+				mod := pc.DL.Modulation()
+				res.ModOrder = append(res.ModOrder, float64(mod))
+				if mod == 8 {
+					res.Mod256 = append(res.Mod256, 1)
+				} else {
+					res.Mod256 = append(res.Mod256, 0)
+				}
+				if pc.DL.ACK {
+					res.ACK = append(res.ACK, 1)
+				} else {
+					res.ACK = append(res.ACK, 0)
+				}
 			} else {
+				res.MCS = append(res.MCS, 0)
+				res.Rank = append(res.Rank, 0)
+				res.RBs = append(res.RBs, 0)
+				res.REs = append(res.REs, 0)
+				res.ModOrder = append(res.ModOrder, 0)
 				res.Mod256 = append(res.Mod256, 0)
-			}
-			if pc.DL.ACK {
 				res.ACK = append(res.ACK, 1)
-			} else {
-				res.ACK = append(res.ACK, 0)
 			}
-		} else {
-			res.MCS = append(res.MCS, 0)
-			res.Rank = append(res.Rank, 0)
-			res.RBs = append(res.RBs, 0)
-			res.REs = append(res.REs, 0)
-			res.ModOrder = append(res.ModOrder, 0)
-			res.Mod256 = append(res.Mod256, 0)
-			res.ACK = append(res.ACK, 1)
 		}
 
 		if cfg.Trace != nil || cfg.KeepRecords {

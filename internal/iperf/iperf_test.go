@@ -158,3 +158,53 @@ func TestDefaultDemandSaturates(t *testing.T) {
 		t.Error("default demand should saturate both directions")
 	}
 }
+
+// TestDiscardStreamsSameTrace pins that Discard only drops the per-slot
+// series: a discarding traced run writes the same bytes and reports the
+// same averages as a collecting one on the same channel realization.
+func TestDiscardStreamsSameTrace(t *testing.T) {
+	run := func(discard bool) (*Result, []byte) {
+		t.Helper()
+		link := testLink(t, "V_Ge", 27)
+		var buf bytes.Buffer
+		w, err := xcal.NewWriter(&buf, xcal.Meta{Operator: "V_Ge", SlotDuration: link.SlotDuration()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(link, Config{Duration: time.Second, Trace: w, Discard: discard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return res, buf.Bytes()
+	}
+	full, want := run(false)
+	lean, got := run(true)
+	if !bytes.Equal(got, want) {
+		t.Errorf("Discard trace differs: %d bytes vs %d collecting", len(got), len(want))
+	}
+	bits := func(r *Result) [4]uint64 {
+		return [4]uint64{math.Float64bits(r.DLMbps), math.Float64bits(r.ULMbps),
+			math.Float64bits(r.NRULMbps), math.Float64bits(r.LTEULMbps)}
+	}
+	if bits(lean) != bits(full) {
+		t.Errorf("Discard averages %v/%v/%v/%v, collecting %v/%v/%v/%v",
+			lean.DLMbps, lean.ULMbps, lean.NRULMbps, lean.LTEULMbps,
+			full.DLMbps, full.ULMbps, full.NRULMbps, full.LTEULMbps)
+	}
+	if lean.DLBitsPerSlot != nil || lean.Records != nil {
+		t.Error("Discard run kept per-slot data")
+	}
+	if len(full.DLBitsPerSlot) != int(time.Second/full.SlotDuration) {
+		t.Errorf("collecting run has %d slots", len(full.DLBitsPerSlot))
+	}
+}
+
+func TestDiscardRejectsKeepRecords(t *testing.T) {
+	link := testLink(t, "V_Sp", 28)
+	if _, err := Run(link, Config{Duration: time.Second, Discard: true, KeepRecords: true}); err == nil {
+		t.Error("Discard with KeepRecords should fail")
+	}
+}
