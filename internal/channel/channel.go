@@ -227,6 +227,7 @@ type Channel struct {
 	k       fadingKernel
 	noiseMW float64 // 10^(NoisePerREdBm/10)
 	floorMW float64 // 10^(OtherCellInterferenceDBm/10)
+	fcTerm  float64 // pathLossFcTerm(CarrierFreqMHz), the site scan's frequency term
 
 	// Route geometry: segment lengths are fixed, and for a stationary UE
 	// the whole site scan (serving cell, RSRP, interference and the two
@@ -282,6 +283,7 @@ func New(cfg Config) (*Channel, error) {
 	ch.k = computeKernel(cfg, ch.dt, cfg.Route.SpeedMPS)
 	ch.noiseMW = fmath.Pow10(cfg.NoisePerREdBm / 10)
 	ch.floorMW = fmath.Pow10(cfg.OtherCellInterferenceDBm / 10)
+	ch.fcTerm = pathLossFcTerm(cfg.CarrierFreqMHz)
 	if n := len(cfg.Route.Waypoints); n > 1 {
 		ch.segs = make([]float64, n-1)
 		for i := 1; i < n; i++ {
@@ -294,7 +296,7 @@ func New(cfg Config) (*Channel, error) {
 	if ch.staticGeo {
 		pos := cfg.Route.Waypoints[0]
 		ch.geoCell, ch.geoRSRP, ch.geoInterf =
-			cfg.Deployment.strongestSite(pos, cfg.CarrierFreqMHz, ch.powers)
+			cfg.Deployment.strongestSite(pos, ch.fcTerm, ch.powers)
 		interfData := ch.geoInterf*cfg.NeighborLoad + ch.floorMW
 		ch.geoDataDBm = 10 * math.Log10(ch.noiseMW+interfData)
 		interfRSRQ := ch.geoInterf*rsrqLoad + ch.floorMW
@@ -320,10 +322,10 @@ type siteScan struct {
 // pos differs from the memoized position.
 //
 //detlint:zeroalloc
-func (m *siteScan) at(d *Deployment, pos Point, fcMHz float64, powers []float64) (cell int, rsrpDBm, interfMW float64) {
+func (m *siteScan) at(d *Deployment, pos Point, fcTerm float64, powers []float64) (cell int, rsrpDBm, interfMW float64) {
 	x, y := math.Float64bits(pos.X), math.Float64bits(pos.Y)
 	if !m.valid || x != m.posX || y != m.posY {
-		m.cell, m.rsrp, m.interf = d.strongestSite(pos, fcMHz, powers)
+		m.cell, m.rsrp, m.interf = d.strongestSite(pos, fcTerm, powers)
 		m.posX, m.posY, m.valid = x, y, true
 	}
 	return m.cell, m.rsrp, m.interf
@@ -463,7 +465,7 @@ func (c *Channel) StepInto(out *Sample) {
 	if c.staticGeo {
 		cell, rsrp, interfMW = c.geoCell, c.geoRSRP, c.geoInterf
 	} else {
-		cell, rsrp, interfMW = c.scan.at(&c.cfg.Deployment, pos, c.cfg.CarrierFreqMHz, c.powers)
+		cell, rsrp, interfMW = c.scan.at(&c.cfg.Deployment, pos, c.fcTerm, c.powers)
 	}
 	rsrp += c.shadowDB
 

@@ -113,20 +113,20 @@ func (d Deployment) Validate() error {
 // p at carrier frequency fcMHz and the corresponding received per-RE power
 // (dBm), plus the total interference power (mW) from all other sites.
 func (d Deployment) StrongestSite(p Point, fcMHz float64) (idx int, rsrpDBm float64, interfMW float64) {
-	return d.strongestSite(p, fcMHz, make([]float64, len(d.Sites)))
+	return d.strongestSite(p, pathLossFcTerm(fcMHz), make([]float64, len(d.Sites)))
 }
 
 // strongestSite is StrongestSite with a caller-provided scratch slice
 // (len ≥ len(d.Sites)) so the per-slot hot path allocates nothing. The
-// frequency term of the path loss is a scan constant, hoisted out of the
-// per-site loop; pathLoss keeps PathLossDB's evaluation order, so every
-// site's received power is bit-identical to the unhoisted expression.
+// frequency term of the path loss, pathLossFcTerm(fcMHz), is a channel
+// constant the caller computes once; pathLoss keeps PathLossDB's
+// evaluation order, so every site's received power is bit-identical to
+// the unhoisted expression.
 //
 //detlint:zeroalloc
-func (d Deployment) strongestSite(p Point, fcMHz float64, powers []float64) (idx int, rsrpDBm float64, interfMW float64) {
+func (d Deployment) strongestSite(p Point, fcTerm float64, powers []float64) (idx int, rsrpDBm float64, interfMW float64) {
 	best := math.Inf(-1)
 	idx = -1
-	fcTerm := pathLossFcTerm(fcMHz)
 	powers = powers[:len(d.Sites)]
 	for i, s := range d.Sites {
 		rx := d.TxPowerDBmPerRE - pathLoss(p.Distance(s), fcTerm)

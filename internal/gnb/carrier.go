@@ -308,7 +308,8 @@ type Carrier struct {
 	csiCfg  ue.CSIConfig // csi.Config(), cached to avoid per-TB copies
 	amc     amcDerived
 	tbs     *phy.TBSCache
-	maxMCS  int // cfg.MCSTable.MaxIndex(), hoisted off the dither path
+	maxMCS  int           // cfg.MCSTable.MaxIndex(), hoisted off the dither path
+	la      *ollaMCSTable // DL OLLA→MCS thresholds for (CSI table, MCS table)
 
 	// effByCQI hoists the CSI table's CQI→spectral-efficiency column so
 	// newTB indexes a flat array instead of calling Lookup (with its
@@ -366,6 +367,7 @@ func NewCarrier(cfg CarrierConfig) (*Carrier, error) {
 		amc:     newAMCDerived(csiCfg2, cfg),
 		tbs:     phy.NewTBSCache(cfg.MCSTable, cfg.DMRSPerPRB, 0),
 		maxMCS:  int(cfg.MCSTable.MaxIndex()),
+		la:      ollaMCSFor(csiCfg2.Table, cfg.MCSTable),
 		rlf:     fault.NewRLFState(cfg.Fault),
 	}
 	for cqi := phy.CQI(1); cqi <= phy.MaxCQI; cqi++ {
@@ -570,12 +572,7 @@ func (c *Carrier) transmit(store *Alloc, queue *[]harqJob, slot int64, symbols i
 
 	if !uplink && !c.cfg.DisableOLLA {
 		// Outer loop: nudge toward the BLER target.
-		if ack {
-			c.ollaDB += 0.05 * c.cfg.TargetBLER / (1 - c.cfg.TargetBLER)
-		} else {
-			c.ollaDB -= 0.05
-		}
-		c.ollaDB = math.Max(-6, math.Min(3, c.ollaDB))
+		c.ollaDB = ollaStep(c.ollaDB, ack, c.cfg.TargetBLER)
 	}
 
 	delivered := 0
@@ -614,13 +611,6 @@ func (c *Carrier) transmit(store *Alloc, queue *[]harqJob, slot int64, symbols i
 	return store
 }
 
-// ollaPow returns 10^(ollaDB/10), the OLLA offset as a linear factor.
-//
-//detlint:zeroalloc
-func (c *Carrier) ollaPow() float64 {
-	return fmath.Pow10(c.ollaDB / 10)
-}
-
 // newTB builds a fresh transport block from the CSI in effect.
 //
 //detlint:zeroalloc
@@ -643,6 +633,7 @@ func (c *Carrier) newTB(slot int64, symbols int, share float64, report ue.Report
 		return harqJob{}
 	}
 
+	var mcs uint8
 	if uplink {
 		// The gNB estimates UL quality from sounding reference signals:
 		// reconstruct the total-SINR estimate behind the DL report,
@@ -668,10 +659,12 @@ func (c *Carrier) newTB(slot int64, symbols int, share float64, report ue.Report
 				c.amc.rankPowAt(exp, rank)
 			eff = math.Log2(1+perLayerLin) * c.amc.ulBackoffLin
 		}
+		mcs = table.HighestMCSForEfficiency(eff)
 	} else {
-		eff *= c.ollaPow()
+		// The OLLA offset enters only through the MCS pick, which the
+		// threshold table makes without the dB→linear pow (ollamcs.go).
+		mcs, _ = c.la.mcs(cqi, c.ollaDB)
 	}
-	mcs := table.HighestMCSForEfficiency(eff)
 
 	// Per-slot link-adaptation dither (sub-band scheduling, per-slot
 	// re-evaluation): the DCI-signaled MCS and rank move at slot scale.

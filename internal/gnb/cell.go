@@ -2,13 +2,11 @@ package gnb
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
 	"github.com/midband5g/midband/internal/channel"
 	"github.com/midband5g/midband/internal/fleet"
-	"github.com/midband5g/midband/internal/fmath"
 	"github.com/midband5g/midband/internal/obs"
 	"github.com/midband5g/midband/internal/phy"
 	"github.com/midband5g/midband/internal/ue"
@@ -151,7 +149,8 @@ type Cell struct {
 	csiCfg   ue.CSIConfig
 	amc      amcDerived
 	tbs      *phy.TBSCache
-	dlSymTab []int // dlSymbols per TDD-period phase (length 1 for FDD)
+	la       *ollaMCSTable // OLLA→MCS thresholds for (CSI table, MCS table)
+	dlSymTab []int         // dlSymbols per TDD-period phase (length 1 for FDD)
 	// effByCQI hoists the CSI table's CQI→spectral-efficiency column so
 	// the sense pass indexes a flat array instead of calling Lookup once
 	// per UE per slot. Row 0, and any row whose Lookup fails, is 0.
@@ -160,14 +159,20 @@ type Cell struct {
 	// Per-slot scratch, reused so the steady-state loop allocates nothing.
 	// order is the scheduler's working set: the UE indices eligible for a
 	// grant this slot, in ascending UE index (the contention PF pass
-	// re-sorts it into grant order); rb is the matching integer RB split.
+	// rewrites it in grant order); rb is the matching integer RB split.
 	order     []int
 	rb        []int
 	grants    []grant
 	scores    []pfScore
+	mergeBuf  []pfScore
+	pfMetric  []float64
 	servedNow []float64
 	allocs    []UEAlloc
 	scheduled []bool
+
+	// rank is every UE index in the contention PF pass's last grant
+	// order (candidates first), the warm start of the next slot's sort.
+	rank []int
 
 	// Round-robin cursor, and the smoothed RB utilization for load
 	// coupling (contention model).
@@ -249,6 +254,7 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 	cell.csiCfg = cell.ues[0].csi.Config() // UEs differ only in seed
 	cell.amc = newAMCDerived(cell.csiCfg, cfg.Carrier)
 	cell.tbs = phy.NewTBSCache(cfg.Carrier.MCSTable, cfg.Carrier.DMRSPerPRB, 0)
+	cell.la = ollaMCSFor(cell.csiCfg.Table, cfg.Carrier.MCSTable)
 	for q := phy.CQI(1); q <= phy.MaxCQI; q++ {
 		if row, err := cell.csiCfg.Table.Lookup(q); err == nil {
 			cell.effByCQI[q] = row.Efficiency
@@ -271,6 +277,12 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 	cell.rb = make([]int, 0, n)
 	cell.grants = make([]grant, 0, n)
 	cell.scores = make([]pfScore, 0, n)
+	cell.mergeBuf = make([]pfScore, n)
+	cell.pfMetric = make([]float64, n)
+	cell.rank = make([]int, n)
+	for i := range cell.rank {
+		cell.rank[i] = i
+	}
 	cell.servedNow = make([]float64, n)
 	cell.allocs = make([]UEAlloc, 0, n)
 	cell.scheduled = make([]bool, n)
@@ -378,25 +390,24 @@ func (c *Cell) share(slot int64) []UEAlloc {
 			}
 		}
 	case SchedulerProportionalFair:
-		// Rank by PF metric; split the slot between the top two
-		// proportionally to their metrics.
-		ss := c.scores[:0]
+		// Split the slot between the two highest PF metrics (ties on
+		// the lower UE index), proportionally to their metrics.
+		first, second := pfScore{idx: -1}, pfScore{idx: -1}
 		for _, idx := range order {
-			ss = append(ss, pfScore{idx, c.instSE[idx] / c.served[idx]})
-		}
-		c.scores = ss
-		for i := 1; i < len(ss); i++ {
-			for j := i; j > 0 && ss[j].metric > ss[j-1].metric; j-- {
-				ss[j], ss[j-1] = ss[j-1], ss[j]
+			s := pfScore{idx, c.instSE[idx] / c.served[idx]}
+			if first.idx < 0 || pfBefore(s, first) {
+				first, second = s, first
+			} else if second.idx < 0 || pfBefore(s, second) {
+				second = s
 			}
 		}
-		if len(ss) == 1 {
-			grants = append(grants, grant{ss[0].idx, 1})
+		if second.idx < 0 {
+			grants = append(grants, grant{first.idx, 1})
 		} else {
-			total := ss[0].metric + ss[1].metric
+			total := first.metric + second.metric
 			grants = append(grants,
-				grant{ss[0].idx, ss[0].metric / total},
-				grant{ss[1].idx, ss[1].metric / total},
+				grant{first.idx, first.metric / total},
+				grant{second.idx, second.metric / total},
 			)
 		}
 	default: // equal share
@@ -448,13 +459,6 @@ func (c *Cell) updatePFWindow(allocs []UEAlloc) {
 	}
 }
 
-// ollaPow returns 10^(olla[i]/10), the OLLA offset as a linear factor.
-//
-//detlint:zeroalloc
-func (c *Cell) ollaPow(i int) float64 {
-	return fmath.Pow10(c.olla[i] / 10)
-}
-
 func (c *Cell) dlSymbols(slot int64) int {
 	return c.dlSymTab[slot%int64(len(c.dlSymTab))]
 }
@@ -468,12 +472,10 @@ func (c *Cell) transmitUE(idx, symbols int, frac float64) (Alloc, bool) {
 	cfg := &c.cfg.Carrier
 	u := c.ues[idx]
 	rank := c.ri[idx]
-	row, err := c.csiCfg.Table.Lookup(c.cqi[idx])
-	if err != nil {
+	mcs, ok := c.la.mcs(c.cqi[idx], c.olla[idx])
+	if !ok {
 		return Alloc{}, false
 	}
-	eff := row.Efficiency * c.ollaPow(idx)
-	mcs := cfg.MCSTable.HighestMCSForEfficiency(eff)
 	rbs := int(float64(cfg.NRB) * frac * (1 - cfg.RBJitterFrac*u.rng.Float64()))
 	if rbs < 1 {
 		rbs = 1
@@ -497,12 +499,7 @@ func (c *Cell) transmitUE(idx, symbols int, frac float64) (Alloc, bool) {
 	}
 	perLayer := c.sinr[idx] - c.amc.layerPenalty(c.csiCfg.LayerPenaltyExp, rank)
 	ack := blerAck(u.rng.Float64(), perLayer, req)
-	if ack {
-		c.olla[idx] += 0.05 * cfg.TargetBLER / (1 - cfg.TargetBLER)
-	} else {
-		c.olla[idx] -= 0.05
-	}
-	c.olla[idx] = math.Max(-6, math.Min(3, c.olla[idx]))
+	c.olla[idx] = ollaStep(c.olla[idx], ack, cfg.TargetBLER)
 	delivered := 0
 	if ack {
 		delivered = tbs

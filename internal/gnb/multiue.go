@@ -113,7 +113,7 @@ func (c *Cell) contend(slot int64) ([]UEAlloc, bool) {
 		}
 		budget -= job.rbs
 		sched[i] = true
-		if a, ok := c.deliver(slot, i, job, c.sinr[i]); ok {
+		if a, ok := c.deliver(slot, i, &job, c.sinr[i]); ok {
 			allocs = append(allocs, UEAlloc{UE: i, Alloc: a, SINRdB: c.sinr[i], CQI: c.cqi[i]})
 		}
 	}
@@ -173,25 +173,20 @@ func (c *Cell) contend(slot int64) ([]UEAlloc, bool) {
 			// (instantaneous rate over window-smoothed served rate), with
 			// the rounding remainder going to the highest metrics. The
 			// served-rate window below is what makes this fair over time.
-			// order is co-sorted by descending metric, which fixes the
-			// grant (and Allocs) order and makes the remainder pass a
-			// prefix walk.
-			ss := c.scores[:0]
+			// The candidates are ranked by descending metric (ties on the
+			// lower UE index) and order is rewritten in that rank, which
+			// fixes the grant (and Allocs) order and makes the remainder
+			// pass a prefix walk. total sums in ascending UE index.
 			total := 0.0
 			for _, idx := range order {
 				m := c.instSE[idx] / c.served[idx]
-				ss = append(ss, pfScore{idx, m})
+				c.pfMetric[idx] = m
 				total += m
 			}
-			c.scores = ss
-			for i := 1; i < len(ss); i++ {
-				for j := i; j > 0 && ss[j].metric > ss[j-1].metric; j-- {
-					ss[j], ss[j-1] = ss[j-1], ss[j]
-					order[j], order[j-1] = order[j-1], order[j]
-				}
-			}
+			ss := c.rankPF()
 			left := budget
-			for _, s := range ss {
+			for k, s := range ss {
+				order[k] = s.idx
 				w := 0
 				if total > 0 {
 					w = int(float64(budget) * s.metric / total)
@@ -225,7 +220,7 @@ func (c *Cell) contend(slot int64) ([]UEAlloc, bool) {
 			if !ok {
 				continue
 			}
-			if a, ok := c.deliver(slot, idx, job, c.sinr[idx]); ok {
+			if a, ok := c.deliver(slot, idx, &job, c.sinr[idx]); ok {
 				allocs = append(allocs, UEAlloc{UE: idx, Alloc: a, SINRdB: c.sinr[idx], CQI: c.cqi[idx]})
 			}
 		}
@@ -251,6 +246,91 @@ func (c *Cell) contend(slot int64) ([]UEAlloc, bool) {
 	return allocs, push
 }
 
+// pfBefore is the PF grant rank: a ranks before b when its metric is
+// higher, or equal with a lower UE index. It is a strict total order on
+// one slot's scores (metrics are finite: served ≥ 1 and instSE ≥ 0), so
+// every correct sort yields the order a stable sort by descending
+// metric of the ascending-index candidates would.
+func pfBefore(a, b pfScore) bool {
+	return a.metric > b.metric || !(a.metric < b.metric) && a.idx < b.idx
+}
+
+// rankPF returns this slot's fresh-grant candidates (the ready UEs
+// that did not retransmit) with their pfMetric scores, sorted by
+// pfBefore. It reads them in the previous slot's rank: the PF window
+// moves each metric little per slot, so the input is nearly sorted and
+// the merge branches predictable. It then moves the candidates, in
+// their new rank, to the front of c.rank, the rest keeping their
+// relative order behind them.
+//
+//detlint:zeroalloc
+func (c *Cell) rankPF() []pfScore {
+	rank := c.rank
+	ss := c.scores[:0]
+	for _, i := range rank {
+		if c.ready[i] && !c.scheduled[i] {
+			ss = append(ss, pfScore{i, c.pfMetric[i]})
+		}
+	}
+	c.scores = ss
+	sortPF(ss, c.mergeBuf)
+	// Walking backwards, the write index never falls behind the read
+	// index, so the compaction can run in place.
+	w := len(rank) - 1
+	for r := len(rank) - 1; r >= 0; r-- {
+		if i := rank[r]; !c.ready[i] || c.scheduled[i] {
+			rank[w] = i
+			w--
+		}
+	}
+	for k := range ss {
+		rank[k] = ss[k].idx
+	}
+	return ss
+}
+
+// sortPF sorts ss by pfBefore in O(n log n) without allocating: runs of
+// pfSortRun are insertion-sorted, then merged bottom-up through buf
+// (len(buf) ≥ len(ss)).
+//
+//detlint:zeroalloc
+func sortPF(ss, buf []pfScore) {
+	const pfSortRun = 8
+	n := len(ss)
+	for lo := 0; lo < n; lo += pfSortRun {
+		run := ss[lo:min(lo+pfSortRun, n)]
+		for i := 1; i < len(run); i++ {
+			x, j := run[i], i
+			for ; j > 0 && pfBefore(x, run[j-1]); j-- {
+				run[j] = run[j-1]
+			}
+			run[j] = x
+		}
+	}
+	src, dst := ss, buf[:n]
+	for width := pfSortRun; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			i, j, k := lo, mid, lo
+			for ; i < mid && j < hi; k++ {
+				if pfBefore(src[j], src[i]) {
+					dst[k] = src[j]
+					j++
+				} else {
+					dst[k] = src[i]
+					i++
+				}
+			}
+			k += copy(dst[k:], src[i:mid])
+			copy(dst[k:], src[j:hi])
+		}
+		src, dst = dst, src
+	}
+	if n > 0 && &src[0] != &ss[0] {
+		copy(ss, src)
+	}
+}
+
 // newContentionTB sizes a fresh transport block for an integer RB grant,
 // mirroring the share model's CQI→efficiency→OLLA→MCS chain (no RB
 // jitter: the scheduler's split already decides the exact footprint).
@@ -260,12 +340,10 @@ func (c *Cell) newContentionTB(slot int64, idx, symbols, rbs int) (harqJob, bool
 	cfg := &c.cfg.Carrier
 	u := c.ues[idx]
 	rank := c.ri[idx]
-	row, err := c.csiCfg.Table.Lookup(c.cqi[idx])
-	if err != nil {
+	mcs, ok := c.la.mcs(c.cqi[idx], c.olla[idx])
+	if !ok {
 		return harqJob{}, false
 	}
-	eff := row.Efficiency * c.ollaPow(idx)
-	mcs := cfg.MCSTable.HighestMCSForEfficiency(eff)
 	tbs, err := c.tbs.TBS(symbols, rbs, mcs, rank)
 	if err != nil {
 		return harqJob{}, false
@@ -307,7 +385,7 @@ func (c *Cell) newContentionTB(slot int64, idx, symbols, rbs int) (harqJob, bool
 // channel state, updating its OLLA offset, HARQ queue and RLC buffer.
 //
 //detlint:zeroalloc
-func (c *Cell) deliver(slot int64, idx int, job harqJob, sinrDB float64) (Alloc, bool) {
+func (c *Cell) deliver(slot int64, idx int, job *harqJob, sinrDB float64) (Alloc, bool) {
 	cfg := &c.cfg.Carrier
 	u := c.ues[idx]
 	perLayer := sinrDB - c.amc.layerPenalty(c.csiCfg.LayerPenaltyExp, job.rank)
@@ -318,12 +396,7 @@ func (c *Cell) deliver(slot int64, idx int, job harqJob, sinrDB float64) (Alloc,
 	}
 	ack := blerAck(u.rng.Float64(), perLayer, req)
 	if !cfg.DisableOLLA {
-		if ack {
-			c.olla[idx] += 0.05 * cfg.TargetBLER / (1 - cfg.TargetBLER)
-		} else {
-			c.olla[idx] -= 0.05
-		}
-		c.olla[idx] = math.Max(-6, math.Min(3, c.olla[idx]))
+		c.olla[idx] = ollaStep(c.olla[idx], ack, cfg.TargetBLER)
 	}
 	delivered := 0
 	if ack {

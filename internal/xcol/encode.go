@@ -98,7 +98,7 @@ const maxPackWidth = 32
 // colStats is the one-pass sizing summary encodeIntCol chooses from.
 type colStats struct {
 	allSame   bool
-	deltaSize int // zigzag-varint per delta
+	deltaSize int // zigzag-varint per delta; tallied for 8-byte columns only
 	rleSize   int // (delta, run) pairs
 	runs      int
 	base      uint64 // unsigned minimum
@@ -106,12 +106,19 @@ type colStats struct {
 	packWidth int    // bits.Len64(rangeV), 0 when allSame
 }
 
-func sizeIntCol[T intColumn](xs []T) colStats {
+// sizeIntCol sizes xs, a column of width-byte values. Delta-varint can
+// never win a column of width ≤ 4 (deltaSize ≥ n while the best size is
+// at most the raw n·width ≤ 4n, and it must beat that 4×), so its tally
+// is skipped there and deltaSize stays 0.
+func sizeIntCol[T intColumn](xs []T, width int) colStats {
 	n := len(xs)
 	first := uint64(xs[0])
-	st := colStats{allSame: true, base: first}
-	st.deltaSize = uvarintLen(zigzag(first))
-	st.rleSize = st.deltaSize
+	head := uvarintLen(zigzag(first))
+	st := colStats{allSame: true, base: first, rleSize: head}
+	tallyDelta := width > 4
+	if tallyDelta {
+		st.deltaSize = head
+	}
 	maxV := first
 	prev := first
 	var runDelta uint64
@@ -129,7 +136,9 @@ func sizeIntCol[T intColumn](xs []T) colStats {
 		if cur > maxV {
 			maxV = cur
 		}
-		st.deltaSize += uvarintLen(zigzag(d))
+		if tallyDelta {
+			st.deltaSize += uvarintLen(zigzag(d))
+		}
 		if runLen > 0 && d == runDelta {
 			runLen++
 			continue
@@ -281,7 +290,7 @@ func appendDeltaRLE[T intColumn](dst []byte, xs []T) []byte {
 // identical inputs always produce identical bytes.
 func encodeIntCol[T intColumn](dst []byte, xs []T, width int) (uint8, []byte) {
 	n := len(xs)
-	st := sizeIntCol(xs)
+	st := sizeIntCol(xs, width)
 	if st.allSame {
 		return encConst, binary.AppendUvarint(dst, zigzag(uint64(xs[0])))
 	}
@@ -314,7 +323,7 @@ func encodeIntCol[T intColumn](dst []byte, xs []T, width int) (uint8, []byte) {
 	if st.runs*8 <= n && st.rleSize < size {
 		enc, size = encDeltaRLE, st.rleSize
 	}
-	if st.deltaSize*4 < size {
+	if width > 4 && st.deltaSize*4 < size {
 		enc, size = encDelta, st.deltaSize
 	}
 
