@@ -1,10 +1,11 @@
 // Command campaign runs a measurement campaign across the operator registry
 // and writes one trace per session, reproducing the data collection
-// methodology of §2. Traces default to the columnar .xcol container
+// methodology of §2. Traces are written in the columnar .xcol container
 // (streamable with bounded memory; see docs/ARCHITECTURE.md "Trace
-// pipeline"); -trace-format xcal selects the row container. Sessions fan out over the fleet worker
-// pool; -parallel bounds the workers and the results are identical for
-// any value because every session seed derives from the job key alone.
+// pipeline"); `xcaldump -convert` turns one into a legacy row .xcal
+// file. Sessions fan out over the fleet worker pool; -parallel bounds
+// the workers and the results are identical for any value because every
+// session seed derives from the job key alone.
 //
 // Observability: -obs-listen serves live /metrics (Prometheus text),
 // /debug/pprof and /debug/vars while the campaign runs; -progress prints
@@ -93,7 +94,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("campaign: ")
 	out := flag.String("out", "traces", "directory for traces and manifest.json")
-	traceFormat := flag.String("trace-format", "xcol", "trace container: xcol (columnar blocks, streaming scans) or xcal (row frames)")
 	duration := flag.Duration("duration", 10*time.Second, "bulk-transfer duration per operator")
 	seed := flag.Int64("seed", 2024, "simulation seed")
 	ops := flag.String("ops", "", "comma-separated operator acronyms (default: all mid-band)")
@@ -108,9 +108,6 @@ func main() {
 	scenarioArg := flag.String("scenario", "", "run a declarative scenario: a shipped pack name or a spec file path (conflicts with the workload-shaping flags; see doc)")
 	quick := flag.Bool("quick", false, "shrink the -scenario to CI scale (sessions, durations, probes) before running")
 	flag.Parse()
-	if *traceFormat != "xcal" && *traceFormat != "xcol" {
-		log.Fatalf("unknown -trace-format %q (want xcal or xcol)", *traceFormat)
-	}
 	if err := usageError(flag.Args(), flag.Visit, *scenarioArg != "", *quick, *uesPerCell); err != nil {
 		log.Fatal(err)
 	}
@@ -171,7 +168,7 @@ func main() {
 	}
 
 	if *scenarioArg != "" {
-		runScenario(*scenarioArg, *quick, *out, *traceFormat, *seed, *parallel, &m, t0)
+		runScenario(*scenarioArg, *quick, *out, *seed, *parallel, &m, t0)
 		return
 	}
 
@@ -213,7 +210,6 @@ func main() {
 		Operators:       selected,
 		SessionDuration: *duration,
 		TraceDir:        *out,
-		TraceFormat:     *traceFormat,
 		Seed:            *seed,
 		Workers:         *parallel,
 		Faults:          sched,
@@ -340,7 +336,7 @@ type scenarioManifestConfig struct {
 // runScenario executes the -scenario path: resolve the spec, run it,
 // write the manifest (stamped with the scenario name and digest) and
 // print the scenario report.
-func runScenario(arg string, quick bool, out, traceFormat string, seed int64, parallel int, m *fleet.Metrics, t0 time.Time) {
+func runScenario(arg string, quick bool, out string, seed int64, parallel int, m *fleet.Metrics, t0 time.Time) {
 	spec, err := loadScenario(arg)
 	if err != nil {
 		log.Fatal(err)
@@ -367,11 +363,10 @@ func runScenario(arg string, quick bool, out, traceFormat string, seed int64, pa
 	}
 
 	res, err := scenario.Run(context.Background(), spec, scenario.Options{
-		Seed:        seed,
-		Workers:     parallel,
-		Metrics:     m,
-		TraceDir:    out,
-		TraceFormat: traceFormat,
+		Seed:     seed,
+		Workers:  parallel,
+		Metrics:  m,
+		TraceDir: out,
 		Progress: func(done, total int, key string) {
 			fmt.Fprintf(os.Stderr, "campaign: [%d/%d] %s (%.1fs)\n", done, total, key, time.Since(t0).Seconds()) //detlint:allow walltime stderr progress line, not part of campaign output
 		},

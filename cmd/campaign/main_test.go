@@ -131,7 +131,7 @@ func TestLoadScenario(t *testing.T) {
 func TestRunScenarioWritesManifest(t *testing.T) {
 	out := t.TempDir()
 	var m fleet.Metrics
-	runScenario("voip", true, out, "xcol", 2024, 2, &m, time.Now())
+	runScenario("voip", true, out, 2024, 2, &m, time.Now())
 
 	data, err := os.ReadFile(filepath.Join(out, "manifest.json"))
 	if err != nil {

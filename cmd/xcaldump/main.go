@@ -1,10 +1,11 @@
-// Command xcaldump inspects trace files in either container: the row
-// XCAL-style format (.xcal) or the columnar block format (.xcol). The
+// Command xcaldump inspects trace files in either container: the
+// columnar block format (.xcol) or the legacy row XCAL-style format
+// (.xcal), which is converted to columnar form in memory first. The
 // container is auto-detected from the magic bytes, never the file name.
 // It prints the session metadata, the channel configuration recovered
 // from the captured signaling (the Appendix 10.1 procedure), and
-// aggregate KPI statistics — streamed through one-pass mergeable
-// aggregates for columnar traces, so dumping never loads a whole trace.
+// aggregate KPI statistics streamed block by block through one-pass
+// mergeable aggregates.
 //
 // Usage:
 //
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"os"
 
 	"github.com/midband5g/midband/internal/analysis"
 	"github.com/midband5g/midband/internal/config"
@@ -30,7 +32,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("xcaldump: ")
 	showRecords := flag.Int("records", 0, "print the first N KPI records")
-	showBlocks := flag.Bool("blocks", false, "list the block index of columnar traces")
+	showBlocks := flag.Bool("blocks", false, "list the block index (of the columnar form, for row traces)")
 	convert := flag.String("convert", "", "convert the input trace into this path (direction chosen by magic: .xcal ↔ .xcol)")
 	flag.Parse()
 	if *convert != "" {
@@ -48,16 +50,7 @@ func main() {
 		log.Fatal("usage: xcaldump [-records N] [-blocks] trace...")
 	}
 	for _, path := range flag.Args() {
-		format, err := xcol.DetectFormat(path)
-		if err != nil {
-			log.Fatalf("%s: %v", path, err)
-		}
-		if format == "xcol" {
-			err = dumpCol(path, *showRecords, *showBlocks)
-		} else {
-			err = dumpRow(path, *showRecords)
-		}
-		if err != nil {
+		if err := dump(path, *showRecords, *showBlocks); err != nil {
 			log.Fatalf("%s: %v", path, err)
 		}
 	}
@@ -82,7 +75,7 @@ func printExtraction(path string, ex *config.Extraction) {
 	}
 }
 
-// kpiStats is the streaming KPI reduction both dump paths share.
+// kpiStats is the streaming KPI reduction.
 type kpiStats struct {
 	dlBits, ulBits float64
 	records        int
@@ -145,76 +138,40 @@ func (st *kpiStats) printRecord(k *xcal.SlotKPI, i int) {
 		i, k.Slot, k.RAT, k.Dir, k.CQI, k.MCS, k.MCSTable, k.Rank, k.RBs, k.TBSBits, k.ACK, k.SINRdB)
 }
 
-func dumpRow(path string, showRecords int) error {
-	// Pass 1: configuration extraction from signaling.
-	r, f, err := xcal.OpenFile(path)
+// dump prints one trace. A row trace is converted to the columnar
+// container in memory, so both containers print through one path.
+func dump(path string, showRecords int, showBlocks bool) error {
+	format, err := xcol.DetectFormat(path)
 	if err != nil {
 		return err
 	}
-	ex, err := config.Extract(r)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	printExtraction(path, ex)
-
-	// Pass 2: KPI statistics.
-	r, f, err = xcal.OpenFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	st := newKPIStats()
-	printed := 0
-	for {
-		ft, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if ft != xcal.FrameKPI {
-			continue
-		}
-		if printed < showRecords {
-			printed++
-			st.printRecord(&r.KPI, printed)
-		}
-		st.add(&r.KPI)
-	}
-	st.print()
-	return nil
-}
-
-func dumpCol(path string, showRecords int, showBlocks bool) error {
-	s, f, err := xcol.OpenFile(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	// Configuration extraction reuses the row-format procedure over the
-	// re-interleaved stream: convert in memory (signaling traces are
-	// small — aux frames plus blocks stream through bounded buffers).
-	var rowBuf bytes.Buffer
 	fi, err := f.Stat()
 	if err != nil {
 		return err
 	}
-	if _, err := xcol.ConvertColToRow(f, fi.Size(), &rowBuf); err != nil {
-		return err
+	var src io.ReaderAt = f
+	size := fi.Size()
+	if format == "xcal" {
+		var col bytes.Buffer
+		if _, err := xcol.ConvertRowToCol(f, &col); err != nil {
+			return err
+		}
+		src, size = xcol.BytesReaderAt(col.Bytes()), int64(col.Len())
 	}
-	rr, err := xcal.NewReader(bytes.NewReader(rowBuf.Bytes()))
+	s, err := xcol.NewScanner(src, size)
 	if err != nil {
 		return err
 	}
-	ex, err := config.Extract(rr)
+	ex, err := config.Extract(s)
 	if err != nil {
 		return err
 	}
 	printExtraction(path, ex)
-	rowBuf = bytes.Buffer{}
 
 	if showBlocks {
 		if s.Sequential() {

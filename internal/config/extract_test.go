@@ -2,6 +2,7 @@ package config
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -10,10 +11,17 @@ import (
 	"github.com/midband5g/midband/internal/net5g"
 	"github.com/midband5g/midband/internal/operators"
 	"github.com/midband5g/midband/internal/xcal"
+	"github.com/midband5g/midband/internal/xcol"
 )
 
 // captureTrace runs a short session for an operator and returns the trace.
 func captureTrace(t *testing.T, acr string) []byte {
+	return captureTraceFor(t, acr, time.Second)
+}
+
+// captureTraceFor runs a session of length d for an operator and
+// returns its columnar trace.
+func captureTraceFor(t *testing.T, acr string, d time.Duration) []byte {
 	t.Helper()
 	op, err := operators.ByAcronym(acr)
 	if err != nil {
@@ -24,26 +32,31 @@ func captureTrace(t *testing.T, acr string) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	w, err := xcal.NewWriter(&buf, sess.Meta())
+	w, err := xcol.NewWriter(&buf, sess.Meta())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.RunIperf(time.Second, net5g.Saturate, w); err != nil {
+	if _, err := sess.RunIperf(d, net5g.Saturate, w); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-func extract(t *testing.T, trace []byte) *Extraction {
+func scan(t *testing.T, trace []byte) *xcol.Scanner {
 	t.Helper()
-	r, err := xcal.NewReader(bytes.NewReader(trace))
+	s, err := xcol.NewScanner(xcol.BytesReaderAt(trace), int64(len(trace)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := Extract(r)
+	return s
+}
+
+func extract(t *testing.T, trace []byte) *Extraction {
+	t.Helper()
+	ex, err := Extract(scan(t, trace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +153,7 @@ func TestExtractTMobileCA(t *testing.T) {
 func TestExtractErrors(t *testing.T) {
 	// A trace with no SIB1 fails extraction.
 	var buf bytes.Buffer
-	w, err := xcal.NewWriter(&buf, xcal.Meta{Scenario: "empty"})
+	w, err := xcol.NewWriter(&buf, xcal.Meta{Scenario: "empty"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +161,38 @@ func TestExtractErrors(t *testing.T) {
 	if err := w.WriteKPI(&k); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := xcal.NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Extract(r); err == nil {
+	if _, err := Extract(scan(t, buf.Bytes())); err == nil {
 		t.Error("extraction without SIB1 should fail")
+	}
+}
+
+// TestExtractRejectsCorruptAux pins that a damaged signaling block
+// fails the extraction. The scanner skips a block whose CRC fails, so
+// without the check the DCI format mix would come from the surviving
+// blocks only.
+func TestExtractRejectsCorruptAux(t *testing.T) {
+	trace := captureTraceFor(t, "Tmb_US", 12*time.Second)
+	const kindAux = 3 // aux block kind in the xcol index
+	var aux []xcol.IndexEntry
+	for _, e := range scan(t, trace).Index() {
+		if e.Kind == kindAux {
+			aux = append(aux, e)
+		}
+	}
+	if len(aux) < 2 {
+		t.Fatalf("capture has %d aux blocks, want at least 2 so one survives the flip", len(aux))
+	}
+	// Flip a byte in the last aux block's payload (past its 13-byte
+	// block header): its frames are DCIs only, so the SIB1 frames
+	// survive and extraction would otherwise succeed.
+	last := aux[len(aux)-1]
+	trace[last.Offset+13+uint64(last.Len)/2] ^= 0x40
+	_, err := Extract(scan(t, trace))
+	var be xcol.BlockError
+	if !errors.As(err, &be) || be.Offset != last.Offset {
+		t.Fatalf("Extract on a trace with a corrupt aux block: err = %v, want the block at offset %d", err, last.Offset)
 	}
 }

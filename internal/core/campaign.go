@@ -46,9 +46,9 @@ type CampaignConfig struct {
 	LatencyProbes int
 	// TraceDir, when non-empty, receives one trace file per session.
 	TraceDir string
-	// TraceFormat selects the trace container: "xcal" (row frames, the
-	// default) or "xcol" (columnar blocks, the streaming-scan format).
-	// The extension of the written files follows the format.
+	// TraceFormat is kept for existing callers: traces are always
+	// written as columnar .xcol files, and "" and "xcol" both select
+	// that container. Any other value fails the traced sessions.
 	TraceFormat string
 	// Seed drives all sessions. Each (operator, session) job derives
 	// its own seed from the base seed and the job indices — never from
@@ -148,7 +148,7 @@ type sessionOutcome struct {
 	clean, retx time.Duration
 }
 
-// traceWrap adapts a fault session into the xcal.CreateFileVia sink
+// traceWrap adapts a fault session into the xcol.CreateFileVia sink
 // hook; nil sessions (or sessions without trace faults armed) wrap
 // nothing.
 func traceWrap(fs *fault.Session) func(io.Writer) io.Writer {
@@ -158,27 +158,14 @@ func traceWrap(fs *fault.Session) func(io.Writer) io.Writer {
 	return func(w io.Writer) io.Writer { return fs.TraceWriter(w) }
 }
 
-// openTrace creates the session's capture file in the requested
-// container format, returning the format-agnostic writer. The interface
+// openTrace creates the session's columnar capture file. The interface
 // is only ever bound to a non-nil concrete writer, so the nil checks in
 // Session.RunIperf stay meaningful.
 func openTrace(format, path string, meta xcal.Meta, fs *fault.Session) (xcal.TraceWriter, *os.File, error) {
-	switch format {
-	case "", "xcal":
-		return xcal.CreateFileVia(path, meta, traceWrap(fs))
-	case "xcol":
-		return xcol.CreateFileVia(path, meta, traceWrap(fs))
-	default:
+	if format != "" && format != "xcol" {
 		return nil, nil, fmt.Errorf("core: unknown trace format %q", format)
 	}
-}
-
-// traceExt returns the file extension for a trace format.
-func traceExt(format string) string {
-	if format == "xcol" {
-		return "xcol"
-	}
-	return "xcal"
+	return xcol.CreateFileVia(path, meta, traceWrap(fs))
 }
 
 // runSession executes one operator session — build the link, optionally
@@ -318,7 +305,7 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignStats
 					path := ""
 					if k == 0 && cfg.TraceDir != "" {
 						sc := operators.Stationary(seed)
-						path = filepath.Join(cfg.TraceDir, fmt.Sprintf("%s-%s.%s", op.Acronym, sc.Name, traceExt(cfg.TraceFormat)))
+						path = filepath.Join(cfg.TraceDir, fmt.Sprintf("%s-%s.xcol", op.Acronym, sc.Name))
 					}
 					var t0 time.Time
 					if obs.Enabled() {

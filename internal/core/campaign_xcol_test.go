@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,11 +13,11 @@ import (
 	"github.com/midband5g/midband/internal/xcol"
 )
 
-// TestCampaignXcolTraces runs a campaign in the columnar trace format
-// and checks the captures are complete: readable through the indexed
-// scanner, KPI records present, signaling aux frames replayable, and
-// per-slot content identical to what the same campaign writes in the
-// row format.
+// TestCampaignXcolTraces runs a campaign and checks the captures are
+// complete: readable through the indexed scanner, KPI records present,
+// signaling aux frames replayable, and per-slot content identical after
+// conversion to the legacy row container. TraceFormat "" and "xcol"
+// must write the same bytes; any other value is rejected.
 func TestCampaignXcolTraces(t *testing.T) {
 	op, err := operators.ByAcronym("V_Sp")
 	if err != nil {
@@ -36,9 +38,9 @@ func TestCampaignXcolTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowCfg := base
-	rowCfg.TraceDir = t.TempDir()
-	rowStats, err := RunCampaign(rowCfg)
+	defCfg := base
+	defCfg.TraceDir = t.TempDir()
+	defStats, err := RunCampaign(defCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +86,19 @@ func TestCampaignXcolTraces(t *testing.T) {
 		t.Fatalf("aux replay: sibs=%d err=%v", sibs, err)
 	}
 
-	// The same seed in the row container must capture identical slots.
-	r, rf, err := xcal.OpenFile(rowStats.Sessions[0].TracePath)
+	// The row form of the capture must hold the same slots.
+	fi, err := f.Stat()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rf.Close()
+	var row bytes.Buffer
+	if _, err := xcol.ConvertColToRow(f, fi.Size(), &row); err != nil {
+		t.Fatal(err)
+	}
+	r, err := xcal.NewReader(&row)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rowKPIs []xcal.SlotKPI
 	for {
 		ft, err := r.Next()
@@ -101,7 +110,7 @@ func TestCampaignXcolTraces(t *testing.T) {
 		}
 	}
 	if len(colKPIs) == 0 || len(colKPIs) != len(rowKPIs) {
-		t.Fatalf("columnar campaign captured %d KPIs, row campaign %d", len(colKPIs), len(rowKPIs))
+		t.Fatalf("columnar capture has %d KPIs, its row form %d", len(colKPIs), len(rowKPIs))
 	}
 	for i := range colKPIs {
 		if colKPIs[i] != rowKPIs[i] {
@@ -109,9 +118,31 @@ func TestCampaignXcolTraces(t *testing.T) {
 		}
 	}
 
-	// The aggregate stats must not depend on the container at all.
-	if colStats.Sessions[0].DLMbps != rowStats.Sessions[0].DLMbps {
+	// The default format is the columnar container, byte for byte.
+	defPath := defStats.Sessions[0].TracePath
+	if filepath.Base(defPath) != filepath.Base(colPath) {
+		t.Fatalf("default campaign wrote %q, xcol campaign %q", filepath.Base(defPath), filepath.Base(colPath))
+	}
+	colBytes, err := os.ReadFile(colPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defBytes, err := os.ReadFile(defPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(colBytes, defBytes) {
+		t.Fatalf("TraceFormat \"\" wrote %d bytes, \"xcol\" %d", len(defBytes), len(colBytes))
+	}
+	if colStats.Sessions[0].DLMbps != defStats.Sessions[0].DLMbps {
 		t.Fatalf("DLMbps differs by trace format: %v vs %v",
-			colStats.Sessions[0].DLMbps, rowStats.Sessions[0].DLMbps)
+			colStats.Sessions[0].DLMbps, defStats.Sessions[0].DLMbps)
+	}
+
+	rowCfg := base
+	rowCfg.TraceDir = t.TempDir()
+	rowCfg.TraceFormat = "xcal"
+	if _, err := RunCampaign(rowCfg); err == nil || !strings.Contains(err.Error(), "unknown trace format") {
+		t.Fatalf("TraceFormat \"xcal\": err = %v, want unknown trace format", err)
 	}
 }

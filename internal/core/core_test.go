@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"github.com/midband5g/midband/internal/operators"
 	"github.com/midband5g/midband/internal/video"
 	"github.com/midband5g/midband/internal/xcal"
+	"github.com/midband5g/midband/internal/xcol"
 )
 
 func session(t *testing.T, acr string, seed int64) *Session {
@@ -128,24 +130,28 @@ func TestRunCampaignWritesTraces(t *testing.T) {
 	}
 	// Each written trace is a readable capture with signaling + KPIs.
 	for _, sess := range stats.Sessions {
-		r, f, err := xcal.OpenFile(sess.TracePath)
+		s, f, err := xcol.OpenFile(sess.TracePath)
 		if err != nil {
 			t.Fatalf("opening %s: %v", sess.TracePath, err)
 		}
 		var kpi, sib int
 		for {
-			ft, err := r.Next()
+			blk, err := s.Next()
 			if err != nil {
 				break
 			}
-			switch ft {
-			case xcal.FrameKPI:
-				kpi++
-			case xcal.FrameSIB1:
+			kpi += blk.Count
+		}
+		err = s.AuxFrames(func(ft xcal.FrameType, _ uint64, _ []byte) error {
+			if ft == xcal.FrameSIB1 {
 				sib++
 			}
-		}
+			return nil
+		})
 		f.Close()
+		if err != nil || len(s.Corrupt()) > 0 {
+			t.Errorf("%s: aux replay err=%v corrupt=%v", filepath.Base(sess.TracePath), err, s.Corrupt())
+		}
 		if kpi == 0 || sib == 0 {
 			t.Errorf("%s: kpi=%d sib=%d", filepath.Base(sess.TracePath), kpi, sib)
 		}
@@ -177,7 +183,7 @@ func TestRunCampaignDefaults(t *testing.T) {
 func TestRunVideoWritesEvents(t *testing.T) {
 	s := session(t, "V_Sp", 7)
 	var buf bytes.Buffer
-	w, err := xcal.NewWriter(&buf, s.Meta())
+	w, err := xcol.NewWriter(&buf, s.Meta())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,22 +196,22 @@ func TestRunVideoWritesEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := xcal.NewReader(bytes.NewReader(buf.Bytes()))
+	sc, err := xcol.NewScanner(xcol.BytesReaderAt(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var requests, arrivals, sibs int
-	for {
-		ft, err := r.Next()
-		if err != nil {
-			break
-		}
+	err = sc.AuxFrames(func(ft xcal.FrameType, _ uint64, payload []byte) error {
 		switch ft {
 		case xcal.FrameEvent:
-			switch r.Event.Kind {
+			var ev xcal.Event
+			if err := json.Unmarshal(payload, &ev); err != nil {
+				return err
+			}
+			switch ev.Kind {
 			case "chunk-request":
 				requests++
 			case "chunk-arrival":
@@ -214,6 +220,10 @@ func TestRunVideoWritesEvents(t *testing.T) {
 		case xcal.FrameSIB1:
 			sibs++
 		}
+		return nil
+	})
+	if err != nil || len(sc.Corrupt()) > 0 {
+		t.Fatalf("aux replay: err=%v corrupt=%v", err, sc.Corrupt())
 	}
 	if requests != len(res.Chunks) || arrivals != len(res.Chunks) {
 		t.Errorf("events: %d requests / %d arrivals for %d chunks", requests, arrivals, len(res.Chunks))

@@ -139,9 +139,8 @@ func (s *Session) WarmUp() error {
 // RunIperf runs a bulk-transfer measurement after warm-up. When w is
 // non-nil, the session writes the full capture: signaling first, then
 // per-slot KPI records, plus periodic DCI frames for config extraction.
-// The session is container-agnostic: w may be a row xcal.Writer or a
-// columnar xcol.Writer. Pass a nil interface (not a typed nil) to skip
-// capture.
+// w is normally a columnar xcol.Writer. Pass a nil interface (not a
+// typed nil) to skip capture.
 func (s *Session) RunIperf(d time.Duration, demand net5g.Demand, w xcal.TraceWriter) (*iperf.Result, error) {
 	return s.runIperf(d, demand, w, false)
 }

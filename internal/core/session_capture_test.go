@@ -66,10 +66,10 @@ func referenceCapture(s *Session, d time.Duration, w xcal.TraceWriter) error {
 }
 
 // captureBytes runs one session of op under the fault plan fs (nil for
-// none) into an in-memory trace of the given container and returns the
-// bytes and the run's error. The plan shortens the session to its abort
+// none) into an in-memory columnar trace and returns the bytes and the
+// run's error. The plan shortens the session to its abort
 // point like runSession does, and its trace faults wrap the sink.
-func captureBytes(t *testing.T, format string, op operators.Operator, fs *fault.Session, run func(*Session, time.Duration, xcal.TraceWriter) error) ([]byte, error) {
+func captureBytes(t *testing.T, op operators.Operator, fs *fault.Session, run func(*Session, time.Duration, xcal.TraceWriter) error) ([]byte, error) {
 	t.Helper()
 	sess, err := NewSessionWithFaults(op, operators.Stationary(fleet.SplitSeed(11, op.Acronym, 0)), fs)
 	if err != nil {
@@ -84,13 +84,7 @@ func captureBytes(t *testing.T, format string, op operators.Operator, fs *fault.
 	if wrap := traceWrap(fs); wrap != nil {
 		sink = wrap(sink)
 	}
-	var w xcal.TraceWriter
-	switch format {
-	case "xcal":
-		w, err = xcal.NewWriter(sink, sess.Meta())
-	case "xcol":
-		w, err = xcol.NewWriter(sink, sess.Meta())
-	}
+	w, err := xcol.NewWriter(sink, sess.Meta())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +97,10 @@ func captureBytes(t *testing.T, format string, op operators.Operator, fs *fault.
 
 // TestStreamedDCIMatchesReference pins that picking DCI samples while
 // the records stream writes exactly the capture the collect-then-
-// synthesize path writes, in both containers, through RunIperf and the
-// campaign's discarding variant, on a clean session, a session the
-// fault plan aborts (with radio faults on its link) and a session whose
-// trace sink fails partway.
+// synthesize path writes, through RunIperf and the campaign's
+// discarding variant, on a clean session, a session the fault plan
+// aborts (with radio faults on its link) and a session whose trace
+// sink fails partway.
 func TestStreamedDCIMatchesReference(t *testing.T) {
 	op := campaignOps(t, "V_Sp")[0]
 	aborting := mustFaults(t, fault.Config{
@@ -125,24 +119,22 @@ func TestStreamedDCIMatchesReference(t *testing.T) {
 		{"abort", aborting, false},
 		{"trace-io", failing, true},
 	}
-	for _, format := range []string{"xcal", "xcol"} {
-		for _, p := range plans {
-			want, wantErr := captureBytes(t, format, op, p.fs, referenceCapture)
-			if (wantErr != nil) != p.wantErr {
-				t.Fatalf("%s/%s: reference error %v", format, p.name, wantErr)
+	for _, p := range plans {
+		want, wantErr := captureBytes(t, op, p.fs, referenceCapture)
+		if (wantErr != nil) != p.wantErr {
+			t.Fatalf("%s: reference error %v", p.name, wantErr)
+		}
+		for _, discard := range []bool{false, true} {
+			name := fmt.Sprintf("%s/discard=%v", p.name, discard)
+			got, gotErr := captureBytes(t, op, p.fs, func(s *Session, d time.Duration, w xcal.TraceWriter) error {
+				_, err := s.runIperf(d, net5g.Saturate, w, discard)
+				return err
+			})
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("%s: error %v, reference %v", name, gotErr, wantErr)
 			}
-			for _, discard := range []bool{false, true} {
-				name := fmt.Sprintf("%s/%s/discard=%v", format, p.name, discard)
-				got, gotErr := captureBytes(t, format, op, p.fs, func(s *Session, d time.Duration, w xcal.TraceWriter) error {
-					_, err := s.runIperf(d, net5g.Saturate, w, discard)
-					return err
-				})
-				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-					t.Errorf("%s: error %v, reference %v", name, gotErr, wantErr)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s: %d trace bytes differ from the %d-byte reference", name, len(got), len(want))
-				}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: %d trace bytes differ from the %d-byte reference", name, len(got), len(want))
 			}
 		}
 	}
@@ -157,7 +149,6 @@ func captureCampaign(t *testing.T) CampaignConfig {
 		SessionsPerOperator: 3,
 		LatencyProbes:       100,
 		TraceDir:            t.TempDir(),
-		TraceFormat:         "xcol",
 		Seed:                8,
 		Workers:             1,
 	}

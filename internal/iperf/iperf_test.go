@@ -10,6 +10,7 @@ import (
 	"github.com/midband5g/midband/internal/net5g"
 	"github.com/midband5g/midband/internal/operators"
 	"github.com/midband5g/midband/internal/xcal"
+	"github.com/midband5g/midband/internal/xcol"
 )
 
 func testLink(t *testing.T, acr string, seed int64) *net5g.Link {
@@ -96,7 +97,7 @@ func TestFilterByCQI(t *testing.T) {
 func TestTraceWriting(t *testing.T) {
 	link := testLink(t, "V_Ge", 24)
 	var buf bytes.Buffer
-	w, err := xcal.NewWriter(&buf, xcal.Meta{Operator: "V_Ge", SlotDuration: link.SlotDuration()})
+	w, err := xcol.NewWriter(&buf, xcal.Meta{Operator: "V_Ge", SlotDuration: link.SlotDuration()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,25 +105,23 @@ func TestTraceWriting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Records) == 0 {
 		t.Fatal("KeepRecords produced nothing")
 	}
-	r, err := xcal.NewReader(bytes.NewReader(buf.Bytes()))
+	s, err := xcol.NewScanner(xcol.BytesReaderAt(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := 0
 	for {
-		ft, err := r.Next()
+		blk, err := s.Next()
 		if err != nil {
 			break
 		}
-		if ft == xcal.FrameKPI {
-			n++
-		}
+		n += blk.Count
 	}
 	if n != len(res.Records) {
 		t.Errorf("trace has %d KPI frames, kept %d records", n, len(res.Records))
@@ -167,7 +166,7 @@ func TestDiscardStreamsSameTrace(t *testing.T) {
 		t.Helper()
 		link := testLink(t, "V_Ge", 27)
 		var buf bytes.Buffer
-		w, err := xcal.NewWriter(&buf, xcal.Meta{Operator: "V_Ge", SlotDuration: link.SlotDuration()})
+		w, err := xcol.NewWriter(&buf, xcal.Meta{Operator: "V_Ge", SlotDuration: link.SlotDuration()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +174,7 @@ func TestDiscardStreamsSameTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Flush(); err != nil {
+		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
 		return res, buf.Bytes()

@@ -28,10 +28,9 @@ type Options struct {
 	Metrics *fleet.Metrics
 	// Progress, when non-nil, is called after each job completes.
 	Progress func(done, total int, key string)
-	// TraceDir/TraceFormat pass through to the bulk campaign (traces
-	// are a bulk-app concern; app drivers produce KPI reports only).
-	TraceDir    string
-	TraceFormat string
+	// TraceDir passes through to the bulk campaign (traces are a
+	// bulk-app concern; app drivers produce KPI reports only).
+	TraceDir string
 }
 
 func (o Options) withDefaults() Options {
@@ -161,7 +160,6 @@ func (s *Spec) CampaignConfig(opts Options) (core.CampaignConfig, error) {
 		SessionDuration:     s.Duration(),
 		SessionsPerOperator: s.Sessions.Count,
 		TraceDir:            opts.TraceDir,
-		TraceFormat:         opts.TraceFormat,
 		Seed:                opts.Seed,
 		Workers:             opts.Workers,
 		Faults:              sched,

@@ -96,15 +96,8 @@ func FuzzDecodeDCI(f *testing.F) {
 }
 
 func FuzzTraceReader(f *testing.F) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Meta{Operator: "V_Sp"})
-	if err != nil {
-		f.Fatal(err)
-	}
 	k := SlotKPI{Slot: 1}
-	_ = w.WriteKPI(&k)
-	_ = w.Flush()
-	f.Add(buf.Bytes())
+	f.Add(appendFrame(rowHeader(f, Meta{Operator: "V_Sp"}), FrameKPI, k.AppendTo(nil)))
 	f.Add([]byte("XCAL5GMB"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))

@@ -2,6 +2,9 @@
 // the professional chipset logger (Accuver XCAL) used in the paper's
 // campaign: fixed-size per-slot KPI records, control-plane signaling
 // captures (MIB, SIB1, DCI) and a framed trace file with metadata.
+// Captures are written in the columnar container (package xcol); the
+// framed row file here is a legacy format that the Reader decodes and
+// the xcol converter reads and writes.
 //
 // The decoder follows the preallocated-decode idiom: Reader.Next decodes
 // into reusable storage owned by the Reader, so steady-state reading of

@@ -12,26 +12,14 @@ import (
 // byte flips of a valid trace; it must return errors (or clean EOF), never
 // panic — the property a trace inspector needs against damaged captures.
 func TestReaderNeverPanicsOnCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Meta{Operator: "V_Sp", SlotDuration: 500 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	valid := rowHeader(t, Meta{Operator: "V_Sp", SlotDuration: 500 * time.Microsecond})
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 50; i++ {
 		k := randomKPI(rng)
-		if err := w.WriteKPI(&k); err != nil {
-			t.Fatal(err)
-		}
+		valid = appendFrame(valid, FrameKPI, k.AppendTo(nil))
 	}
 	sib := SIB1{CellID: 1, Band: "n78", CarrierBandwidthRB: 245, SCSkHz: 30, TDDPattern: "DDDSU"}
-	if err := w.WriteSIB1(&sib); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid = appendFrame(valid, FrameSIB1, sib.AppendTo(nil))
 
 	drain := func(data []byte) {
 		defer func() {
@@ -71,17 +59,9 @@ func TestReaderNeverPanicsOnCorruption(t *testing.T) {
 // TestFrameSizeLimit ensures oversized frames are rejected rather than
 // allocated.
 func TestFrameSizeLimit(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Meta{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	// Append a frame header claiming 16 MiB.
-	buf.Write([]byte{byte(FrameKPI), 0, 0, 0, 1})
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	trace := append(rowHeader(t, Meta{}), byte(FrameKPI), 0, 0, 0, 1)
+	r, err := NewReader(bytes.NewReader(trace))
 	if err != nil {
 		t.Fatal(err)
 	}

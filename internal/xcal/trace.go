@@ -25,12 +25,12 @@ var traceMagic = [8]byte{'X', 'C', 'A', 'L', '5', 'G', 'M', 'B'}
 var TraceMagic = traceMagic
 
 // TraceWriter is the sink a capture session writes through — KPI
-// records plus control-plane signaling and event annotations. Both the
-// row Writer here and the columnar xcol.Writer implement it, so the
-// simulation core is format-agnostic: campaigns pick the container,
-// sessions just write. Close finalizes the stream (for containers with
-// a footer this is what makes the file complete); Flush only pushes
-// buffered bytes.
+// records plus control-plane signaling and event annotations. The
+// columnar xcol.Writer is the trace writer that implements it; keeping
+// the interface here lets the simulation core write captures without
+// importing the container, and lets benchmarks substitute their own
+// sink. Close finalizes the stream (for containers with a footer this
+// is what makes the file complete); Flush only pushes buffered bytes.
 type TraceWriter interface {
 	WriteKPI(k *SlotKPI) error
 	WriteMIB(m *MIB) error
@@ -83,98 +83,6 @@ type Event struct {
 	Kind string        `json:"kind"`
 	Data string        `json:"data,omitempty"`
 }
-
-// Writer writes a trace stream.
-type Writer struct {
-	w    *bufio.Writer
-	buf  []byte
-	head [5]byte
-	err  error
-}
-
-// NewWriter writes the trace header and metadata frame to w.
-func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
-	tw := &Writer{w: bufio.NewWriterSize(w, 1<<16)}
-	if _, err := tw.w.Write(traceMagic[:]); err != nil {
-		return nil, err
-	}
-	var v [2]byte
-	binary.LittleEndian.PutUint16(v[:], TraceVersion)
-	if _, err := tw.w.Write(v[:]); err != nil {
-		return nil, err
-	}
-	mb, err := json.Marshal(meta)
-	if err != nil {
-		return nil, fmt.Errorf("xcal: encoding meta: %w", err)
-	}
-	tw.frame(FrameMeta, mb)
-	return tw, tw.err
-}
-
-func (w *Writer) frame(t FrameType, payload []byte) {
-	if w.err != nil {
-		return
-	}
-	w.head[0] = uint8(t)
-	binary.LittleEndian.PutUint32(w.head[1:], uint32(len(payload)))
-	if _, err := w.w.Write(w.head[:]); err != nil {
-		w.err = err
-		return
-	}
-	if _, err := w.w.Write(payload); err != nil {
-		w.err = err
-	}
-}
-
-// WriteKPI appends a slot KPI record.
-func (w *Writer) WriteKPI(k *SlotKPI) error {
-	w.buf = k.AppendTo(w.buf[:0])
-	w.frame(FrameKPI, w.buf)
-	return w.err
-}
-
-// WriteMIB appends a MIB capture.
-func (w *Writer) WriteMIB(m *MIB) error {
-	w.buf = m.AppendTo(w.buf[:0])
-	w.frame(FrameMIB, w.buf)
-	return w.err
-}
-
-// WriteSIB1 appends a SIB1 capture.
-func (w *Writer) WriteSIB1(s *SIB1) error {
-	w.buf = s.AppendTo(w.buf[:0])
-	w.frame(FrameSIB1, w.buf)
-	return w.err
-}
-
-// WriteDCI appends a DCI capture.
-func (w *Writer) WriteDCI(d *DCI) error {
-	w.buf = d.AppendTo(w.buf[:0])
-	w.frame(FrameDCI, w.buf)
-	return w.err
-}
-
-// WriteEvent appends an application event annotation.
-func (w *Writer) WriteEvent(e Event) error {
-	b, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("xcal: encoding event: %w", err)
-	}
-	w.frame(FrameEvent, b)
-	return w.err
-}
-
-// Flush flushes buffered frames to the underlying writer.
-func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	return w.w.Flush()
-}
-
-// Close finalizes the stream. The row container has no footer, so
-// Close is just Flush; it exists to satisfy TraceWriter.
-func (w *Writer) Close() error { return w.Flush() }
 
 // Reader reads a trace stream. Next decodes each frame into storage owned
 // by the Reader; the returned pointers are valid only until the following
@@ -270,36 +178,6 @@ func (r *Reader) Next() (FrameType, error) {
 	default:
 		return t, fmt.Errorf("xcal: unknown frame type %d", t)
 	}
-}
-
-// CreateFile creates a trace file on disk.
-func CreateFile(path string, meta Meta) (*Writer, *os.File, error) {
-	return CreateFileVia(path, meta, nil)
-}
-
-// CreateFileVia is CreateFile with the on-disk sink wrapped by wrap
-// before the trace writer buffers on top of it — the hook fault
-// injection uses to make trace-sink I/O errors reachable in tests and
-// campaigns. A nil wrap writes straight to the file. Errors injected by
-// the wrapper surface through the Writer's usual sticky-error path, so
-// callers need no special handling beyond what real I/O failures
-// already require.
-func CreateFileVia(path string, meta Meta, wrap func(io.Writer) io.Writer) (*Writer, *os.File, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	var sink io.Writer = f
-	if wrap != nil {
-		sink = wrap(f)
-	}
-	w, err := NewWriter(sink, meta)
-	if err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, nil, err
-	}
-	return w, f, nil
 }
 
 // OpenFile opens a trace file for reading.

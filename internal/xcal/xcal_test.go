@@ -2,8 +2,11 @@ package xcal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -142,6 +145,27 @@ func TestDCIRoundTrip(t *testing.T) {
 	}
 }
 
+// rowHeader returns the row-container header and meta frame. With
+// appendFrame it stands in for a trace writer in these reader tests:
+// the production row encoder is the xcol converter, which this package
+// cannot import.
+func rowHeader(tb testing.TB, meta Meta) []byte {
+	tb.Helper()
+	mb, err := json.Marshal(meta)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b := binary.LittleEndian.AppendUint16(append([]byte(nil), traceMagic[:]...), TraceVersion)
+	return appendFrame(b, FrameMeta, mb)
+}
+
+// appendFrame appends one [type u8][length u32 LE][payload] frame.
+func appendFrame(b []byte, t FrameType, payload []byte) []byte {
+	b = append(b, byte(t))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	return append(b, payload...)
+}
+
 func testMeta() Meta {
 	return Meta{
 		Operator: "V_Sp", Country: "Spain", City: "Madrid",
@@ -152,11 +176,7 @@ func testMeta() Meta {
 }
 
 func TestTraceRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, testMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := rowHeader(t, testMeta())
 	rng := rand.New(rand.NewSource(11))
 	kpis := make([]SlotKPI, 500)
 	for i := range kpis {
@@ -165,28 +185,20 @@ func TestTraceRoundTrip(t *testing.T) {
 	mib := MIB{SFN: 100, SCSkHz: 30}
 	sib := SIB1{CellID: 7, Band: "n78", CarrierBandwidthRB: 245, SCSkHz: 30, TDDPattern: "DDDDDDDSUU", MaxMIMOLayers: 4, MCSTable: 2}
 	ev := Event{Time: 42 * time.Millisecond, Kind: "chunk-fetch", Data: "q=6"}
-	if err := w.WriteMIB(&mib); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteSIB1(&sib); err != nil {
-		t.Fatal(err)
-	}
+	trace = appendFrame(trace, FrameMIB, mib.AppendTo(nil))
+	trace = appendFrame(trace, FrameSIB1, sib.AppendTo(nil))
 	for i := range kpis {
-		if err := w.WriteKPI(&kpis[i]); err != nil {
-			t.Fatal(err)
-		}
+		trace = appendFrame(trace, FrameKPI, kpis[i].AppendTo(nil))
 	}
-	if err := w.WriteDCI(&DCI{Slot: 9, Format: DCI11, MCS: 20, RBs: 245, Rank: 4, NDI: true}); err != nil {
+	dci := DCI{Slot: 9, Format: DCI11, MCS: 20, RBs: 245, Rank: 4, NDI: true}
+	trace = appendFrame(trace, FrameDCI, dci.AppendTo(nil))
+	eb, err := json.Marshal(ev)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteEvent(ev); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	trace = appendFrame(trace, FrameEvent, eb)
 
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := NewReader(bytes.NewReader(trace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,18 +260,8 @@ func TestTraceBadInputs(t *testing.T) {
 
 func TestTraceFiles(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "session.xcal")
-	w, f, err := CreateFile(path, testMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
 	k := randomKPI(rand.New(rand.NewSource(1)))
-	if err := w.WriteKPI(&k); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(path, appendFrame(rowHeader(t, testMeta()), FrameKPI, k.AppendTo(nil)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

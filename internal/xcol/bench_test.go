@@ -40,19 +40,11 @@ func encodeCol(b *testing.B, records []xcal.SlotKPI) []byte {
 	return buf.Bytes()
 }
 
-func encodeRow(b *testing.B, records []xcal.SlotKPI) []byte {
+// rowOf converts a columnar trace to the legacy row container.
+func rowOf(b *testing.B, col []byte) []byte {
 	b.Helper()
 	var buf bytes.Buffer
-	w, err := xcal.NewWriter(&buf, testMeta())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := range records {
-		if err := w.WriteKPI(&records[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
+	if _, err := ConvertColToRow(BytesReaderAt(col), int64(len(col)), &buf); err != nil {
 		b.Fatal(err)
 	}
 	return buf.Bytes()
@@ -69,7 +61,7 @@ func encodeRow(b *testing.B, records []xcal.SlotKPI) []byte {
 func BenchmarkBlockScan(b *testing.B) {
 	records := benchStream(b)
 	col := encodeCol(b, records)
-	row := encodeRow(b, records)
+	row := rowOf(b, col)
 
 	scan := func(b *testing.B, proj ColumnSet) {
 		s, err := NewScanner(BytesReaderAt(col), int64(len(col)))

@@ -112,8 +112,9 @@ type auxFrame struct {
 }
 
 // ConvertColToRow reads a columnar trace and writes it as a row trace,
-// re-interleaving signaling frames at their recorded KPI positions. It
-// returns the number of KPI records converted. Corrupt blocks abort the
+// re-interleaving signaling frames at their recorded KPI positions; it
+// is the only writer of the legacy row container. It returns the number
+// of KPI records converted. Corrupt blocks abort the
 // conversion — a converter must not silently drop data.
 func ConvertColToRow(r io.ReaderAt, size int64, w io.Writer) (uint64, error) {
 	s, err := NewScanner(r, size)

@@ -10,12 +10,12 @@ import (
 )
 
 // TestConvertFileRoundTrip drives the file-level conversion entry point
-// (what `xcaldump -convert` calls) both ways: row → columnar → row must
-// reproduce the original file byte for byte, including the interleaved
-// signaling frames.
+// (what `xcaldump -convert` calls) both ways: columnar → row → columnar
+// must reproduce the original file byte for byte, including the
+// interleaved signaling frames.
 func TestConvertFileRoundTrip(t *testing.T) {
-	var row bytes.Buffer
-	w, err := xcal.NewWriter(&row, testMeta())
+	var col bytes.Buffer
+	w, err := NewWriter(&col, testMeta())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +39,10 @@ func TestConvertFileRoundTrip(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	src := filepath.Join(dir, "trace.xcal")
-	mid := filepath.Join(dir, "trace.xcol")
-	back := filepath.Join(dir, "back.xcal")
-	if err := os.WriteFile(src, row.Bytes(), 0o644); err != nil {
+	src := filepath.Join(dir, "trace.xcol")
+	mid := filepath.Join(dir, "trace.xcal")
+	back := filepath.Join(dir, "back.xcol")
+	if err := os.WriteFile(src, col.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -50,10 +50,10 @@ func TestConvertFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dirn != "xcal→xcol" || n != uint64(len(records)) {
+	if dirn != "xcol→xcal" || n != uint64(len(records)) {
 		t.Fatalf("forward conversion: %s, %d records", dirn, n)
 	}
-	if format, err := DetectFormat(mid); err != nil || format != "xcol" {
+	if format, err := DetectFormat(mid); err != nil || format != "xcal" {
 		t.Fatalf("converted file detects as %q, %v", format, err)
 	}
 
@@ -61,14 +61,14 @@ func TestConvertFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dirn != "xcol→xcal" || n != uint64(len(records)) {
+	if dirn != "xcal→xcol" || n != uint64(len(records)) {
 		t.Fatalf("backward conversion: %s, %d records", dirn, n)
 	}
 	got, err := os.ReadFile(back)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, row.Bytes()) {
-		t.Fatalf("row → col → row not byte-identical: %d vs %d bytes", len(got), row.Len())
+	if !bytes.Equal(got, col.Bytes()) {
+		t.Fatalf("col → row → col not byte-identical: %d vs %d bytes", len(got), col.Len())
 	}
 }

@@ -9,12 +9,14 @@ import (
 
 // Column codecs. Encoders are decode-speed-first: they pick the
 // cheapest representation among those that decode in tight loops
-// (const fill, run fills, bit-unpack, raw copy) and only fall back to
-// varint-per-row delta coding when it shrinks the column by 4x —
-// a varint decode per row is exactly the per-record cost the columnar
-// format exists to escape. Decoders are strict: every byte of a column
-// payload must be consumed and every run must land exactly on the row
-// count, so corruption is detected rather than smeared.
+// (const fill, run fills, bit-unpack, raw copy). The writer never
+// emits varint-per-row delta (encDelta) or XOR-run float (encXorRLE)
+// columns — neither won a column of the campaign or figure captures
+// when the size search tried them — but both still decode, because
+// their tags are part of the on-disk format. Decoders are strict:
+// every byte of a column payload must be consumed and every run must
+// land exactly on the row count, so corruption is detected rather than
+// smeared.
 //
 // All delta arithmetic is mod 2^64: encode computes cur-prev on the
 // uint64 bit patterns and decode adds the (un-zigzagged) delta back
@@ -98,7 +100,6 @@ const maxPackWidth = 32
 // colStats is the one-pass sizing summary encodeIntCol chooses from.
 type colStats struct {
 	allSame   bool
-	deltaSize int // zigzag-varint per delta; tallied for 8-byte columns only
 	rleSize   int // (delta, run) pairs
 	runs      int
 	base      uint64 // unsigned minimum
@@ -106,19 +107,11 @@ type colStats struct {
 	packWidth int    // bits.Len64(rangeV), 0 when allSame
 }
 
-// sizeIntCol sizes xs, a column of width-byte values. Delta-varint can
-// never win a column of width ≤ 4 (deltaSize ≥ n while the best size is
-// at most the raw n·width ≤ 4n, and it must beat that 4×), so its tally
-// is skipped there and deltaSize stays 0.
-func sizeIntCol[T intColumn](xs []T, width int) colStats {
+// sizeIntCol sizes xs for the const, packed and delta-RLE encodings.
+func sizeIntCol[T intColumn](xs []T) colStats {
 	n := len(xs)
 	first := uint64(xs[0])
-	head := uvarintLen(zigzag(first))
-	st := colStats{allSame: true, base: first, rleSize: head}
-	tallyDelta := width > 4
-	if tallyDelta {
-		st.deltaSize = head
-	}
+	st := colStats{allSame: true, base: first, rleSize: uvarintLen(zigzag(first))}
 	maxV := first
 	prev := first
 	var runDelta uint64
@@ -135,9 +128,6 @@ func sizeIntCol[T intColumn](xs []T, width int) colStats {
 		}
 		if cur > maxV {
 			maxV = cur
-		}
-		if tallyDelta {
-			st.deltaSize += uvarintLen(zigzag(d))
 		}
 		if runLen > 0 && d == runDelta {
 			runLen++
@@ -290,7 +280,7 @@ func appendDeltaRLE[T intColumn](dst []byte, xs []T) []byte {
 // identical inputs always produce identical bytes.
 func encodeIntCol[T intColumn](dst []byte, xs []T, width int) (uint8, []byte) {
 	n := len(xs)
-	st := sizeIntCol(xs, width)
+	st := sizeIntCol(xs)
 	if st.allSame {
 		return encConst, binary.AppendUvarint(dst, zigzag(uint64(xs[0])))
 	}
@@ -298,8 +288,7 @@ func encodeIntCol[T intColumn](dst []byte, xs []T, width int) (uint8, []byte) {
 
 	// Decode-speed-first selection. Raw is the floor; packed must earn
 	// its bit-twiddling with a 1.5x size win; RLE must both shrink the
-	// column and have long runs (short runs decode at varint speed);
-	// delta-varint needs a 4x win over the best so far.
+	// column and have long runs (short runs decode at varint speed).
 	enc, size := encRaw, rawSize
 	packW := roundWidth(st.packWidth)
 	if st.packWidth <= maxPackWidth {
@@ -323,9 +312,6 @@ func encodeIntCol[T intColumn](dst []byte, xs []T, width int) (uint8, []byte) {
 	if st.runs*8 <= n && st.rleSize < size {
 		enc, size = encDeltaRLE, st.rleSize
 	}
-	if width > 4 && st.deltaSize*4 < size {
-		enc, size = encDelta, st.deltaSize
-	}
 
 	switch enc {
 	case encPacked:
@@ -334,16 +320,6 @@ func encodeIntCol[T intColumn](dst []byte, xs []T, width int) (uint8, []byte) {
 		return encPackedScale, appendPackedScale(dst, xs, st, scale, scaleWidth)
 	case encDeltaRLE:
 		return encDeltaRLE, appendDeltaRLE(dst, xs)
-	case encDelta:
-		first := uint64(xs[0])
-		dst = binary.AppendUvarint(dst, zigzag(first))
-		prev := first
-		for i := 1; i < n; i++ {
-			cur := uint64(xs[i])
-			dst = binary.AppendUvarint(dst, zigzag(cur-prev))
-			prev = cur
-		}
-		return encDelta, dst
 	default:
 		return encRaw, appendRawInts(dst, xs, width)
 	}
@@ -834,65 +810,20 @@ func decodeBoolCol(data []byte, enc uint8, out []bool) error {
 	}
 }
 
-// encodeFloatCol appends a float32 column. Radio measurements hold
-// steady for runs of slots, so runs of identical bit patterns are
-// coded as (xor, run) pairs — decode is O(runs). High-entropy columns
-// fall back to a raw copy; there is deliberately no varint-per-row
-// float path.
+// encodeFloatCol appends a float32 column: const when every bit
+// pattern is equal, raw otherwise. There is deliberately no
+// varint-per-row float path.
 func encodeFloatCol(dst []byte, xs []float32) (uint8, []byte) {
-	n := len(xs)
 	first := math.Float32bits(xs[0])
 	allSame := true
-	rleSize := uvarintLen(uint64(first))
-	runs := 0
-	prev := first
-	var runXor uint32
-	runLen := 0
-	for i := 1; i < n; i++ {
-		cur := math.Float32bits(xs[i])
-		if cur != first {
+	for _, x := range xs[1:] {
+		if math.Float32bits(x) != first {
 			allSame = false
+			break
 		}
-		x := prev ^ cur
-		prev = cur
-		if runLen > 0 && x == runXor {
-			runLen++
-			continue
-		}
-		if runLen > 0 {
-			rleSize += uvarintLen(uint64(runXor)) + uvarintLen(uint64(runLen))
-			runs++
-		}
-		runXor, runLen = x, 1
-	}
-	if runLen > 0 {
-		rleSize += uvarintLen(uint64(runXor)) + uvarintLen(uint64(runLen))
-		runs++
 	}
 	if allSame {
 		return encConst, binary.LittleEndian.AppendUint32(dst, first)
-	}
-	if runs*8 <= n && rleSize < 4*n {
-		dst = binary.AppendUvarint(dst, uint64(first))
-		prev = first
-		runLen = 0
-		for i := 1; i < n; i++ {
-			cur := math.Float32bits(xs[i])
-			x := prev ^ cur
-			prev = cur
-			if runLen > 0 && x == runXor {
-				runLen++
-				continue
-			}
-			if runLen > 0 {
-				dst = binary.AppendUvarint(dst, uint64(runXor))
-				dst = binary.AppendUvarint(dst, uint64(runLen))
-			}
-			runXor, runLen = x, 1
-		}
-		dst = binary.AppendUvarint(dst, uint64(runXor))
-		dst = binary.AppendUvarint(dst, uint64(runLen))
-		return encXorRLE, dst
 	}
 	for _, x := range xs {
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(x))

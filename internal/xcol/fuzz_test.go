@@ -24,6 +24,49 @@ func kpiPayload(f *testing.F, n int) []byte {
 	return e.encodeKPIBlock(nil, &blk)
 }
 
+// legacyPayload encodes n records into one KPI block payload whose Slot
+// and Time columns are encDelta and whose SINR and RSRP columns are
+// encXorRLE — encodings the writer no longer emits but the decoder
+// still reads. It checks the payload decodes back to the records.
+func legacyPayload(f *testing.F, n int) []byte {
+	f.Helper()
+	var blk Block
+	records := genKPIs(n, 4)
+	for i := range records {
+		blk.appendKPI(&records[i])
+	}
+	var e blockEncoder
+	std := e.encodeKPIBlock(nil, &blk)
+	out := []byte{std[0]}
+	for pos := 1; pos < len(std); {
+		id, enc := int(std[pos]), std[pos+1]
+		l, p := uvarint(std, pos+2)
+		data := std[p : p+int(l)]
+		pos = p + int(l)
+		switch id {
+		case ColSlot:
+			enc, data = encDelta, deltaPayload(blk.Slot)
+		case ColTime:
+			enc, data = encDelta, deltaPayload(blk.Time)
+		case ColSINRdB:
+			enc, data = encXorRLE, xorRLEPayload(blk.SINRdB)
+		case ColRSRPdBm:
+			enc, data = encXorRLE, xorRLEPayload(blk.RSRPdBm)
+		}
+		out = e.col(out, id, enc, data)
+	}
+	var back Block
+	if err := decodeKPIBlock(out, n, &back, 0, 0); err != nil {
+		f.Fatalf("legacy block does not decode: %v", err)
+	}
+	for i, r := range back.AppendRows(nil) {
+		if r != records[i] {
+			f.Fatalf("legacy block row %d = %+v, want %+v", i, r, records[i])
+		}
+	}
+	return out
+}
+
 // FuzzDecodeBlock feeds arbitrary bytes to the KPI block decoder. A
 // payload it accepts must re-encode and re-decode to identical rows —
 // the decode is the format's source of truth, so any divergence means
@@ -35,6 +78,8 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add(kpiPayload(f, BlockCap), BlockCap)
 	f.Add([]byte{}, 1)
 	f.Add([]byte{22}, 3)
+	f.Add(legacyPayload(f, 300), 300)
+	f.Add(legacyPayload(f, BlockCap), BlockCap)
 	f.Fuzz(func(t *testing.T, data []byte, count int) {
 		var blk Block
 		if err := decodeKPIBlock(data, count, &blk, 0, 0); err != nil {

@@ -3,6 +3,8 @@ package xcol
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -388,6 +390,145 @@ func TestDecodePackedScaleOddWidths(t *testing.T) {
 			if out[i] != want[i] {
 				t.Fatalf("width %d: row %d = %d, want %d", width, i, out[i], want[i])
 			}
+		}
+	}
+}
+
+// deltaPayload hand-builds an encDelta column, which the writer no
+// longer emits: the first value, then each wrapping difference, all
+// zigzag-varint coded.
+func deltaPayload[T intColumn](xs []T) []byte {
+	b := binary.AppendUvarint(nil, zigzag(uint64(xs[0])))
+	for i := 1; i < len(xs); i++ {
+		b = binary.AppendUvarint(b, zigzag(uint64(xs[i])-uint64(xs[i-1])))
+	}
+	return b
+}
+
+// xorRLEPayload hand-builds an encXorRLE column, which the writer no
+// longer emits: the first value's bits as a uvarint, then (xor, run)
+// pairs of consecutive bit-pattern XORs.
+func xorRLEPayload(xs []float32) []byte {
+	prev := math.Float32bits(xs[0])
+	b := binary.AppendUvarint(nil, uint64(prev))
+	var x uint32
+	run := 0
+	for _, v := range xs[1:] {
+		cur := math.Float32bits(v)
+		if d := prev ^ cur; run > 0 && d == x {
+			run++
+		} else {
+			if run > 0 {
+				b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(x)), uint64(run))
+			}
+			x, run = d, 1
+		}
+		prev = cur
+	}
+	if run > 0 {
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(x)), uint64(run))
+	}
+	return b
+}
+
+// TestDecodeDelta pins the encDelta decoder on hand-built payloads: a
+// literal column, wrapping extremes, random runs, and strict rejection
+// of truncated or over-long payloads.
+func TestDecodeDelta(t *testing.T) {
+	// 5, 3, 3, 10: zigzag(5)=10, zigzag(-2)=3, zigzag(0)=0, zigzag(7)=14.
+	out := make([]int64, 4)
+	if err := decodeIntCol([]byte{10, 3, 0, 14}, encDelta, out, 8); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(out) != "[5 3 3 10]" {
+		t.Fatalf("literal delta column decoded to %v", out)
+	}
+
+	rng := rand.New(rand.NewSource(8))
+	want := []int64{math.MaxInt64, math.MinInt64, -1, 0, math.MinInt64, math.MaxInt64}
+	for len(want) < 300 {
+		want = append(want, rng.Int63()-rng.Int63())
+	}
+	payload := deltaPayload(want)
+	got := make([]int64, len(want))
+	if err := decodeIntCol(payload, encDelta, got, 8); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("row %d = %d, want %d", i, got[i], want[i])
+		}
+	}
+	// The same deltas decode into a narrower column, truncated to it.
+	narrow := make([]uint32, len(want))
+	if err := decodeIntCol(payload, encDelta, narrow, 4); err != nil {
+		t.Fatal(err)
+	}
+	for i := range narrow {
+		if narrow[i] != uint32(want[i]) {
+			t.Fatalf("uint32 row %d = %d, want %d", i, narrow[i], uint32(want[i]))
+		}
+	}
+	if err := decodeIntCol(payload[:len(payload)-1], encDelta, got, 8); err == nil {
+		t.Error("truncated delta column accepted")
+	}
+	if err := decodeIntCol(append(payload, 0), encDelta, got, 8); err == nil {
+		t.Error("delta column with a trailing byte accepted")
+	}
+}
+
+// TestDecodeXorRLE pins the encXorRLE float decoder on hand-built
+// payloads: a literal column, held values with NaN, signed zeros and
+// infinities between them, and strict rejection of bad runs and XORs.
+func TestDecodeXorRLE(t *testing.T) {
+	// 1, 1, 1, -1, 1: bits 0x3f800000, then (xor 0, run 2) and
+	// (xor 0x80000000, run 2).
+	lit := binary.AppendUvarint(nil, 0x3f800000)
+	lit = append(lit, 0, 2)
+	lit = append(binary.AppendUvarint(lit, 0x80000000), 2)
+	out := make([]float32, 5)
+	if err := decodeFloatCol(lit, encXorRLE, out); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(out) != "[1 1 1 -1 1]" {
+		t.Fatalf("literal xor-rle column decoded to %v", out)
+	}
+
+	rng := rand.New(rand.NewSource(9))
+	specials := []float32{float32(math.NaN()), float32(math.Copysign(0, -1)), 0,
+		float32(math.Inf(1)), float32(math.Inf(-1)), -85.5}
+	var want []float32
+	for len(want) < 500 {
+		v := float32(rng.NormFloat64() * 20)
+		if rng.Intn(4) == 0 {
+			v = specials[rng.Intn(len(specials))]
+		}
+		for n := 1 + rng.Intn(40); n > 0; n-- {
+			want = append(want, v)
+		}
+	}
+	payload := xorRLEPayload(want)
+	got := make([]float32, len(want))
+	if err := decodeFloatCol(payload, encXorRLE, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("row %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+
+	bad := map[string][]byte{
+		"run past the rows":  append(binary.AppendUvarint(nil, 0x3f800000), 0, 5),
+		"zero run":           append(binary.AppendUvarint(nil, 0x3f800000), 0, 0),
+		"xor over 32 bits":   append(binary.AppendUvarint(binary.AppendUvarint(nil, 0x3f800000), 1<<32), 4),
+		"first over 32 bits": append(binary.AppendUvarint(nil, 1<<32), 0, 4),
+		"trailing byte":      append(append([]byte(nil), lit...), 0),
+		"truncated":          lit[:len(lit)-1],
+	}
+	for name, p := range bad {
+		if err := decodeFloatCol(p, encXorRLE, out); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

@@ -267,9 +267,10 @@ func CreateFile(path string, meta xcal.Meta) (*Writer, *os.File, error) {
 }
 
 // CreateFileVia is CreateFile with the on-disk sink wrapped by wrap
-// before the trace writer buffers on top of it — the same fault
-// injection hook xcal.CreateFileVia exposes, so campaigns exercise
-// trace I/O errors identically in either format.
+// before the trace writer buffers on top of it — the hook fault
+// injection uses to make trace-sink I/O errors reachable in tests and
+// campaigns. A nil wrap writes straight to the file. Errors injected by
+// the wrapper surface through the Writer's sticky-error path.
 func CreateFileVia(path string, meta xcal.Meta, wrap func(io.Writer) io.Writer) (*Writer, *os.File, error) {
 	f, err := os.Create(path)
 	if err != nil {

@@ -1,10 +1,11 @@
 // Package xcol implements the columnar block trace container the
 // campaign pipeline streams through. Where package xcal stores one
 // 64-byte frame per SlotKPI record, xcol transposes fixed-capacity
-// batches of records into per-column encodings — delta/varint with
-// zigzag for signed KPIs, run-length encoding for the slowly-moving
-// scheduler fields, raw little-endian for high-entropy radio floats —
-// so a scan touches only the bytes of the columns it projects.
+// batches of records into per-column encodings — frame-of-reference
+// bit packing for bounded counters, delta run-length encoding for the
+// slowly-moving scheduler fields, raw little-endian for high-entropy
+// radio floats — so a scan touches only the bytes of the columns it
+// projects.
 //
 // Container layout:
 //
@@ -137,9 +138,9 @@ const (
 	encConst    uint8 = 0 // one value, all rows equal
 	encRaw      uint8 = 1 // fixed-width little-endian values
 	encBits     uint8 = 2 // bools, LSB-first bit-packed
-	encDelta    uint8 = 3 // zigzag-varint first value, then deltas
+	encDelta    uint8 = 3 // zigzag-varint first value, then deltas (decode only)
 	encDeltaRLE uint8 = 4 // zigzag-varint first value, then (delta, run) pairs
-	encXorRLE   uint8 = 5 // float32 bits: varint first, then (xor, run) pairs
+	encXorRLE   uint8 = 5 // float32 bits: varint first, then (xor, run) pairs (decode only)
 	encPacked   uint8 = 6 // frame-of-reference: base + fixed-bit-width packed offsets
 	// encPackedScale divides the offsets by their GCD before packing:
 	// base + scale × packed. Physical KPIs are products of a counter and

@@ -326,19 +326,54 @@ func TestScanBlocksEmitError(t *testing.T) {
 	}
 }
 
-func TestConvertRoundTrip(t *testing.T) {
-	// Build a canonical row trace with interleaved signaling.
-	var row bytes.Buffer
-	w, err := xcal.NewWriter(&row, testMeta())
+// auxAt is a signaling frame and the number of KPI records written
+// before it.
+type auxAt struct {
+	t   xcal.FrameType
+	pos int
+}
+
+// rowAux reads a row trace and returns its KPI records and where each
+// signaling frame sits among them.
+func rowAux(t *testing.T, row []byte) ([]xcal.SlotKPI, []auxAt) {
+	t.Helper()
+	r, err := xcal.NewReader(bytes.NewReader(row))
 	if err != nil {
-		t.Fatalf("xcal.NewWriter: %v", err)
+		t.Fatal(err)
 	}
+	var kpis []xcal.SlotKPI
+	var aux []auxAt
+	for {
+		ft, err := r.Next()
+		if err == io.EOF {
+			return kpis, aux
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ft == xcal.FrameKPI {
+			kpis = append(kpis, r.KPI)
+		} else {
+			aux = append(aux, auxAt{ft, len(kpis)})
+		}
+	}
+}
+
+func TestConvertRoundTrip(t *testing.T) {
+	// Build a columnar trace with interleaved signaling.
+	var col bytes.Buffer
+	w, err := NewWriter(&col, testMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []auxAt
 	if err := w.WriteMIB(&xcal.MIB{SFN: 12, SCSkHz: 30}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WriteSIB1(&xcal.SIB1{CellID: 501, Band: "n77"}); err != nil {
 		t.Fatal(err)
 	}
+	want = append(want, auxAt{xcal.FrameMIB, 0}, auxAt{xcal.FrameSIB1, 0})
 	records := genKPIs(2*BlockCap+777, 21)
 	for i := range records {
 		if err := w.WriteKPI(&records[i]); err != nil {
@@ -348,40 +383,55 @@ func TestConvertRoundTrip(t *testing.T) {
 			if err := w.WriteDCI(&xcal.DCI{Slot: records[i].Slot}); err != nil {
 				t.Fatal(err)
 			}
+			want = append(want, auxAt{xcal.FrameDCI, i + 1})
 		}
 		if i == 1000 {
 			if err := w.WriteEvent(xcal.Event{Time: time.Second, Kind: "chunk-request", Data: "q=7"}); err != nil {
 				t.Fatal(err)
 			}
+			want = append(want, auxAt{xcal.FrameEvent, i + 1})
 		}
 	}
 	if err := w.WriteEvent(xcal.Event{Time: 2 * time.Second, Kind: "session-end"}); err != nil {
 		t.Fatal(err)
 	}
+	want = append(want, auxAt{xcal.FrameEvent, len(records)})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	var col bytes.Buffer
-	n, err := ConvertRowToCol(bytes.NewReader(row.Bytes()), &col)
-	if err != nil {
-		t.Fatalf("ConvertRowToCol: %v", err)
-	}
-	if n != uint64(len(records)) {
-		t.Fatalf("converted %d records, want %d", n, len(records))
-	}
-
-	var back bytes.Buffer
-	n, err = ConvertColToRow(bytes.NewReader(col.Bytes()), int64(col.Len()), &back)
+	var row bytes.Buffer
+	n, err := ConvertColToRow(bytes.NewReader(col.Bytes()), int64(col.Len()), &row)
 	if err != nil {
 		t.Fatalf("ConvertColToRow: %v", err)
 	}
 	if n != uint64(len(records)) {
+		t.Fatalf("converted %d records, want %d", n, len(records))
+	}
+	kpis, aux := rowAux(t, row.Bytes())
+	if len(kpis) != len(records) {
+		t.Fatalf("row trace holds %d KPI records, want %d", len(kpis), len(records))
+	}
+	for i := range kpis {
+		if kpis[i] != records[i] {
+			t.Fatalf("row record %d = %+v, want %+v", i, kpis[i], records[i])
+		}
+	}
+	if fmt.Sprint(aux) != fmt.Sprint(want) {
+		t.Fatalf("row signaling interleave %v, want %v", aux, want)
+	}
+
+	var back bytes.Buffer
+	n, err = ConvertRowToCol(bytes.NewReader(row.Bytes()), &back)
+	if err != nil {
+		t.Fatalf("ConvertRowToCol: %v", err)
+	}
+	if n != uint64(len(records)) {
 		t.Fatalf("converted back %d records, want %d", n, len(records))
 	}
-	if !bytes.Equal(row.Bytes(), back.Bytes()) {
-		t.Fatalf("row → col → row is not byte-identical: %d vs %d bytes",
-			row.Len(), back.Len())
+	if !bytes.Equal(col.Bytes(), back.Bytes()) {
+		t.Fatalf("col → row → col is not byte-identical: %d vs %d bytes",
+			col.Len(), back.Len())
 	}
 }
 
@@ -493,12 +543,9 @@ func TestDetectFormat(t *testing.T) {
 	if err := writeFile(colPath, writeTestTrace(t, genKPIs(5, 1), false)); err != nil {
 		t.Fatal(err)
 	}
+	col := writeTestTrace(t, nil, false)
 	var row bytes.Buffer
-	w, err := xcal.NewWriter(&row, testMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
+	if _, err := ConvertColToRow(bytes.NewReader(col), int64(len(col)), &row); err != nil {
 		t.Fatal(err)
 	}
 	rowPath := dir + "/t.xcal"
